@@ -41,7 +41,8 @@ NEG_INF = -np.inf
 class ScoreMatrix:
     """Log-probability of head j for dependent i: row i-1, column j (0 = ROOT).
 
-    Self-head entries are forced to -inf on construction.
+    Self-head entries are forced to -inf on construction. A NaN entry raises
+    ValueError; -inf entries (zero probabilities) are accepted.
     """
 
     log_probs: np.ndarray
@@ -50,6 +51,10 @@ class ScoreMatrix:
         arr = np.array(self.log_probs, dtype=np.float64)
         if arr.ndim != 2 or arr.shape[1] != arr.shape[0] + 1:
             raise ValueError(f"ScoreMatrix: expected [n, n+1], got {arr.shape}")
+        nan = np.argwhere(np.isnan(arr))
+        if len(nan):
+            i, j = nan[0]
+            raise ValueError(f"ScoreMatrix: NaN score for dependent {i + 1}, head {j}")
         for i in range(arr.shape[0]):
             arr[i, i + 1] = NEG_INF
         self.log_probs = arr

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .vocab import ROOT, Vocabulary
+from .vocab import Vocabulary
 
 __all__ = [
     "EncoderConfig",
@@ -34,9 +34,7 @@ __all__ = [
     "init_encoder_params",
     "char_cnn",
     "lstm_cell",
-    "highway_cell",
     "bilstm_stack",
-    "encode_tokens",
     "make_dropout_masks",
     "MODE_POS",
     "MODE_STAG",
@@ -191,49 +189,24 @@ def char_cnn(char_ids, char_emb: Tensor, filters: Tensor, bias: Tensor,
     return ad.max_over_axis(conv, axis=0)
 
 
-def _gates_input(x_t: Tensor, h_prev: Tensor) -> Tensor:
-    axis = 1 if x_t.value.ndim == 2 else 0
-    return ad.concat([x_t, h_prev], axis=axis)
-
-
 def lstm_cell(x_t: Tensor, h_prev: Tensor, c_prev: Tensor, p: dict, prefix: str = ""):
-    """Standard cell: returns (h_t, c_t). Accepts [d] vectors or [B, d] rows."""
-    squeeze = x_t.value.ndim == 1
-    if squeeze:
-        x_t = ad.reshape(x_t, (1, -1))
-        h_prev = ad.reshape(h_prev, (1, -1))
-        c_prev = ad.reshape(c_prev, (1, -1))
-    cat = _gates_input(x_t, h_prev)
+    """One step over [B, d] rows: returns (h_t, c_t).
+
+    The output is the highway mix when `p` holds `{prefix}W_r`, which
+    `init_lstm_params` adds exactly when `config.highway` is on; the cell
+    state update is the same either way.
+    """
+    cat = ad.concat([x_t, h_prev], axis=1)
     i = ad.sigmoid(_linear(cat, p[f"{prefix}W_i"], p[f"{prefix}b_i"]))
     f = ad.sigmoid(_linear(cat, p[f"{prefix}W_f"], p[f"{prefix}b_f"]))
     c_tilde = ad.tanh(_linear(cat, p[f"{prefix}W_c"], p[f"{prefix}b_c"]))
     o = ad.sigmoid(_linear(cat, p[f"{prefix}W_o"], p[f"{prefix}b_o"]))
     c = ad.add(ad.mul(f, c_prev), ad.mul(i, c_tilde))
     h = ad.mul(o, ad.tanh(c))
-    if squeeze:
-        h, c = ad.reshape(h, (-1,)), ad.reshape(c, (-1,))
-    return h, c
-
-
-def highway_cell(x_t: Tensor, h_prev: Tensor, c_prev: Tensor, p: dict, prefix: str = ""):
-    """Highway variant; cell state update is identical to lstm_cell."""
-    squeeze = x_t.value.ndim == 1
-    if squeeze:
-        x_t = ad.reshape(x_t, (1, -1))
-        h_prev = ad.reshape(h_prev, (1, -1))
-        c_prev = ad.reshape(c_prev, (1, -1))
-    cat = _gates_input(x_t, h_prev)
-    i = ad.sigmoid(_linear(cat, p[f"{prefix}W_i"], p[f"{prefix}b_i"]))
-    f = ad.sigmoid(_linear(cat, p[f"{prefix}W_f"], p[f"{prefix}b_f"]))
-    c_tilde = ad.tanh(_linear(cat, p[f"{prefix}W_c"], p[f"{prefix}b_c"]))
-    o = ad.sigmoid(_linear(cat, p[f"{prefix}W_o"], p[f"{prefix}b_o"]))
-    r = ad.sigmoid(_linear(cat, p[f"{prefix}W_r"], p[f"{prefix}b_r"]))
-    c = ad.add(ad.mul(f, c_prev), ad.mul(i, c_tilde))
-    carry = ad.mul(r, ad.mul(o, ad.tanh(c)))
-    bypass = ad.mul(ad.add(Tensor(1.0), ad.neg(r)), _linear(x_t, p[f"{prefix}W_h"]))
-    h = ad.add(carry, bypass)
-    if squeeze:
-        h, c = ad.reshape(h, (-1,)), ad.reshape(c, (-1,))
+    if f"{prefix}W_r" in p:
+        r = ad.sigmoid(_linear(cat, p[f"{prefix}W_r"], p[f"{prefix}b_r"]))
+        bypass = ad.mul(ad.add(Tensor(1.0), ad.neg(r)), _linear(x_t, p[f"{prefix}W_h"]))
+        h = ad.add(ad.mul(r, h), bypass)
     return h, c
 
 
@@ -261,17 +234,13 @@ def make_dropout_masks(rng: np.random.Generator, config: EncoderConfig, batch: i
 
 def bilstm_stack(inputs: Tensor, params: dict, config: EncoderConfig,
                  masks: dict | None = None) -> Tensor:
-    """Run the stack over [T, d] or [B, T, d] inputs; output dim is 2*hidden."""
+    """Run the stack over [B, T, d] inputs; returns [B, T, 2*hidden]."""
     if config.layers < 1:
         raise ValueError("bilstm_stack: need at least one layer")
-    squeeze = inputs.value.ndim == 2
-    if squeeze:
-        inputs = ad.reshape(inputs, (1,) + inputs.shape)
     batch, seq_len, _ = inputs.shape
     if seq_len < 1:
         raise ValueError("bilstm_stack: empty sequence")
     masks = masks or {}
-    cell = highway_cell if config.highway else lstm_cell
     if "input" in masks:
         inputs = ad.dropout_with_mask(inputs, masks["input"])
     in_fw = in_bw = inputs
@@ -288,7 +257,7 @@ def bilstm_stack(inputs: Tensor, params: dict, config: EncoderConfig,
             for t in steps:
                 x_t = ad.reshape(ad.slice_axis(stream, 1, t, t + 1), (batch, -1))
                 h_in = ad.dropout_with_mask(h, rec_mask) if rec_mask is not None else h
-                h, c = cell(x_t, h_in, c, params, prefix)
+                h, c = lstm_cell(x_t, h_in, c, params, prefix)
                 collected[t] = ad.reshape(h, (batch, 1, config.hidden))
             outs[direction] = ad.concat(collected, axis=1)
         layer_out = ad.concat([outs["fw"], outs["bw"]], axis=2)
@@ -304,44 +273,5 @@ def bilstm_stack(inputs: Tensor, params: dict, config: EncoderConfig,
                 if layer_mask is not None:
                     nxt = ad.dropout_with_mask(nxt, layer_mask)
                 in_fw = in_bw = nxt
-    return ad.reshape(layer_out, layer_out.shape[1:]) if squeeze else layer_out
+    return layer_out
 
-
-def _token_pos(tok) -> str:
-    # pipeline stages consume predicted POS when present, gold otherwise
-    return tok.pred_pos if tok.pred_pos is not None else tok.gold_pos
-
-
-def encode_tokens(sentence, mode: str, params: dict, vocab: Vocabulary,
-                  config: EncoderConfig) -> Tensor:
-    """Per-token input matrix for one sentence: [T, d] or [T+1, d] with ROOT.
-
-    Parser-family modes prepend a ROOT row at index 0 that is identically
-    zero regardless of parameters. Components are concatenated in the order
-    word embedding, POS embedding, supertag embedding, character vector.
-    """
-    if mode not in ALL_MODES:
-        raise ValueError(f"unknown mode {mode!r}; expected one of {ALL_MODES}")
-    tokens = sentence.tokens
-    if not tokens:
-        raise ValueError("encode_tokens: empty sentence")
-    rows = []
-    for tok in tokens:
-        parts = [ad.embedding_lookup(params["emb.word"],
-                                     np.array([vocab.word_id(tok.form)]))]
-        if "emb.pos" in params:
-            parts.append(ad.embedding_lookup(params["emb.pos"],
-                                             np.array([vocab.pos_id(_token_pos(tok))])))
-        if "emb.stag" in params:
-            stag = tok.stag if tok.stag is not None else ""
-            parts.append(ad.embedding_lookup(params["emb.stag"],
-                                             np.array([vocab.stag_id(stag)])))
-        char_vec = char_cnn(vocab.char_ids(tok.form), params["emb.char"],
-                            params["cnn.filters"], params["cnn.bias"])
-        parts.append(ad.reshape(char_vec, (1, -1)))
-        rows.append(ad.concat(parts, axis=1))
-    mat = ad.concat(rows, axis=0)
-    if mode in PARSER_MODES:
-        root = Tensor(np.zeros((1, mat.shape[1])))
-        mat = ad.concat([root, mat], axis=0)
-    return mat

@@ -30,14 +30,9 @@ __all__ = [
     "init_head_params",
     "head_features",
     "arc_logit_matrix",
-    "arc_distribution",
-    "label_logits",
     "label_logits_pairs",
-    "label_distribution",
     "pos_logits",
     "stag_logits",
-    "pos_distribution",
-    "stag_distribution",
 ]
 
 
@@ -139,18 +134,6 @@ def arc_logit_matrix(feats: HeadFeatures, params: dict) -> Tensor:
     return ad.transpose(deps)  # [n, n+1]
 
 
-def arc_distribution(feats: HeadFeatures, i: int, params: dict) -> Tensor:
-    """Probability distribution over candidate heads of token i (i >= 1)."""
-    if i < 1:
-        raise ValueError("arc_distribution: ROOT (i=0) takes no head")
-    if i >= feats.arc_dep.shape[0]:
-        raise IndexError(f"arc_distribution: token index {i} out of range")
-    h_i = ad.reshape(ad.slice_axis(feats.arc_dep, 0, i, i + 1), (-1, 1))
-    bilinear = ad.matmul(ad.matmul(feats.arc_head, params["biaffine.W_arc"]), h_i)
-    bias = ad.matmul(feats.arc_head, ad.reshape(params["biaffine.b_arc"], (-1, 1)))
-    return ad.softmax(ad.reshape(ad.add(bilinear, bias), (-1,)))
-
-
 def label_logits_pairs(dep: Tensor, dep_head_role: Tensor, head: Tensor,
                        params: dict, rel_affine_uses_dep: bool = False) -> Tensor:
     """Relation scores [N, r] for N (dependent, head) row pairs.
@@ -158,41 +141,15 @@ def label_logits_pairs(dep: Tensor, dep_head_role: Tensor, head: Tensor,
     `dep` holds rel-dep rows of the dependents, `dep_head_role` their
     rel-head rows, and `head` the rel-head rows of their chosen heads.
     """
-    d_rel = dep.shape[1]
+    n, d_rel = dep.shape
     r = params["rel.b"].shape[0]
-    cols = []
-    for k in range(r):
-        u_k = ad.reshape(ad.slice_axis(params["rel.U"], 2, k, k + 1), (d_rel, d_rel))
-        prod = ad.mul(ad.matmul(head, u_k), dep)
-        cols.append(ad.reduce_sum(prod, axis=1, keepdims=True))
-    bilinear = ad.concat(cols, axis=1)
+    # [N, d, r] rows of head^T U_k for every k, contracted with dep over d
+    head_u = ad.reshape(ad.matmul(head, ad.reshape(params["rel.U"], (d_rel, d_rel * r))),
+                        (n, d_rel, r))
+    bilinear = ad.reduce_sum(ad.mul(head_u, ad.reshape(dep, (n, d_rel, 1))), axis=1)
     affine_dep = dep if rel_affine_uses_dep else dep_head_role
     affine = ad.matmul(ad.add(affine_dep, head), ad.transpose(params["rel.W"]))
     return ad.add(ad.add(bilinear, affine), ad.reshape(params["rel.b"], (1, -1)))
-
-
-def label_logits(feats: HeadFeatures, head_ids, params: dict,
-                 rel_affine_uses_dep: bool = False) -> Tensor:
-    """Relation scores [n, r] for dependents 1..n given their head indices."""
-    n_plus_1 = feats.rel_dep.shape[0]
-    head_ids = np.asarray(head_ids, dtype=np.int64)
-    dep = ad.slice_axis(feats.rel_dep, 0, 1, n_plus_1)
-    dep_head_role = ad.slice_axis(feats.rel_head, 0, 1, n_plus_1)
-    head = ad.embedding_lookup(feats.rel_head, head_ids)
-    return label_logits_pairs(dep, dep_head_role, head, params, rel_affine_uses_dep)
-
-
-def label_distribution(i: int, p_i: int, feats: HeadFeatures, params: dict,
-                       rel_affine_uses_dep: bool = False) -> Tensor:
-    """Distribution over relations for the arc from head p_i to token i."""
-    n_plus_1 = feats.rel_dep.shape[0]
-    if not 1 <= i < n_plus_1:
-        raise IndexError(f"label_distribution: token index {i} out of range")
-    if not 0 <= p_i < n_plus_1:
-        raise IndexError(f"label_distribution: head index {p_i} out of range")
-    heads = np.full(n_plus_1 - 1, p_i, dtype=np.int64)
-    logits = label_logits(feats, heads, params, rel_affine_uses_dep)
-    return ad.softmax(ad.reshape(ad.slice_axis(logits, 0, i - 1, i), (-1,)))
 
 
 def pos_logits(feats: HeadFeatures, params: dict) -> Tensor:
@@ -204,10 +161,3 @@ def stag_logits(feats: HeadFeatures, params: dict) -> Tensor:
     return ad.add(ad.matmul(feats.stag, ad.transpose(params["out.stag.W"])),
                   ad.reshape(params["out.stag.b"], (1, -1)))
 
-
-def pos_distribution(feats: HeadFeatures, params: dict) -> Tensor:
-    return ad.softmax(pos_logits(feats, params), axis=-1)
-
-
-def stag_distribution(feats: HeadFeatures, params: dict) -> Tensor:
-    return ad.softmax(stag_logits(feats, params), axis=-1)

@@ -7,7 +7,6 @@ character's Unicode category starts with P or S. Percentages are 0..100.
 from __future__ import annotations
 
 import unicodedata
-from dataclasses import dataclass, field
 
 __all__ = [
     "is_pure_punctuation",
@@ -16,7 +15,6 @@ __all__ = [
     "joint_correct",
     "f1_by_bucket",
     "bucket_tsv",
-    "MetricReport",
     "N_BUCKETS",
 ]
 
@@ -141,14 +139,3 @@ def bucket_tsv(scores) -> str:
     labels = [str(i) for i in range(1, N_BUCKETS)] + [f"{N_BUCKETS}+"]
     return "\n".join(f"{lab}\t{f1:.2f}" for lab, f1 in zip(labels, scores)) + "\n"
 
-
-@dataclass
-class MetricReport:
-    values: dict = field(default_factory=dict)
-
-    def lines(self) -> str:
-        """Line-delimited key=value records."""
-        out = []
-        for k, v in self.values.items():
-            out.append(f"{k}={v:.4f}" if isinstance(v, float) else f"{k}={v}")
-        return "\n".join(out) + "\n"

@@ -52,7 +52,7 @@ class BatchOutputs:
     label_logits: Tensor | None = None  # [total tokens, r], sentence-major order
     pos_logits: Tensor | None = None    # [total tokens, n_pos]
     stag_logits: Tensor | None = None   # [total tokens, n_stags]
-    rel_dep: Tensor | None = None       # projection rows kept for re-labeling
+    rel_dep: Tensor | None = None       # projection rows kept for labeling
     rel_head: Tensor | None = None      # decoded arcs at prediction time
 
 
@@ -94,7 +94,7 @@ class Model:
         return ad.concat(rows, axis=0), {f: i for i, f in enumerate(unique)}
 
     def _input_batch(self, sentences: list) -> Tensor:
-        batch, seq = len(sentences), len(sentences[0])
+        batch = len(sentences)
         forms = [t.form for s in sentences for t in s.tokens]
         char_table, char_idx = self._char_table(forms)
         word_ids = np.array([[self.vocab.word_id(t.form) for t in s.tokens]
@@ -114,7 +114,6 @@ class Model:
         if self.with_root:
             root = Tensor(np.zeros((batch, 1, mat.shape[2])))
             mat = ad.concat([root, mat], axis=1)
-        del seq
         return mat
 
     # ----- forward --------------------------------------------------------
@@ -144,6 +143,7 @@ class Model:
         flat = ad.reshape(encoded, (batch * rows, 2 * self.enc_config.hidden))
         feats = head_features(flat, self.params, mlp_mask)
         out = BatchOutputs(sentences=list(sentences))
+        token_rows = self._token_rows(batch, seq)
         if self.mode in PARSER_MODES:
             out.arc_logits = [
                 arc_logit_matrix(self._sentence_feats(feats, b, rows), self.params)
@@ -151,21 +151,7 @@ class Model:
             ]
             out.rel_dep, out.rel_head = feats.rel_dep, feats.rel_head
             head_rows = self._head_rows(sentences, rows, rng is not None, out.arc_logits)
-            dep_rows = np.concatenate(
-                [b * rows + 1 + np.arange(seq) for b in range(batch)]
-            )
-            out.label_logits = label_logits_pairs(
-                ad.embedding_lookup(feats.rel_dep, dep_rows),
-                ad.embedding_lookup(feats.rel_head, dep_rows),
-                ad.embedding_lookup(feats.rel_head, head_rows),
-                self.params,
-                self.head_config.rel_affine_uses_dep,
-            )
-        token_rows = (
-            np.concatenate([b * rows + 1 + np.arange(seq) for b in range(batch)])
-            if self.with_root
-            else np.arange(batch * rows)
-        )
+            out.label_logits = self._label_logits(out, token_rows, head_rows)
         if self.mode in (MODE_POS, MODE_JOINT_POS_STAG):
             out.pos_logits = pos_logits(
                 HeadFeatures(pos=ad.embedding_lookup(feats.pos, token_rows)), self.params
@@ -175,6 +161,25 @@ class Model:
                 HeadFeatures(stag=ad.embedding_lookup(feats.stag, token_rows)), self.params
             )
         return out
+
+    def _token_rows(self, batch: int, seq: int) -> np.ndarray:
+        """Feature-row index of every real token of a bucket, sentence-major.
+
+        Sentence b owns rows b*(T+1) .. b*(T+1)+T, ROOT first, in parser
+        modes, and rows b*T .. b*T+T-1 in tagger modes.
+        """
+        root = int(self.with_root)
+        return (np.arange(batch)[:, None] * (seq + root) + root + np.arange(seq)).ravel()
+
+    def _label_logits(self, outs: BatchOutputs, dep_rows, head_rows) -> Tensor:
+        """Relation scores for the arcs head_rows[k] -> dep_rows[k]."""
+        return label_logits_pairs(
+            ad.embedding_lookup(outs.rel_dep, dep_rows),
+            ad.embedding_lookup(outs.rel_head, dep_rows),
+            ad.embedding_lookup(outs.rel_head, head_rows),
+            self.params,
+            self.head_config.rel_affine_uses_dep,
+        )
 
     @staticmethod
     def _sentence_feats(feats: HeadFeatures, b: int, rows: int) -> HeadFeatures:
@@ -190,15 +195,11 @@ class Model:
         Training conditions on gold heads when `label_on_gold_heads` is on;
         otherwise (and always at inference) on the current arc argmax.
         """
-        use_gold = training and self.head_config.label_on_gold_heads
-        out = []
-        for b, sent in enumerate(sentences):
-            if use_gold:
-                heads = [t.head for t in sent.tokens]
-            else:
-                heads = list(np.argmax(arc_logits[b].value, axis=1))
-            out.append(b * rows + np.asarray(heads, dtype=np.int64))
-        return np.concatenate(out)
+        if training and self.head_config.label_on_gold_heads:
+            heads = np.array([[t.head for t in s.tokens] for s in sentences], dtype=np.int64)
+        else:
+            heads = np.stack([np.argmax(logits.value, axis=1) for logits in arc_logits])
+        return (np.arange(len(sentences))[:, None] * rows + heads).ravel()
 
     # ----- prediction -----------------------------------------------------
 
@@ -211,10 +212,11 @@ class Model:
         for _, positions in sorted(by_len.items()):
             bucket = [sentences[p] for p in positions]
             outs = self.forward(bucket)
-            for local, pos in enumerate(positions):
-                results[pos] = self._fill_sentence(bucket[local], outs, local)
-                if self.mode in PARSER_MODES:
-                    self._fill_parse(results[pos], outs, local, use_mst)
+            filled = [self._fill_sentence(sent, outs, local) for local, sent in enumerate(bucket)]
+            if self.mode in PARSER_MODES:
+                self._fill_parse(filled, outs, use_mst)
+            for pos, sent in zip(positions, filled):
+                results[pos] = sent
         return results
 
     def _fill_sentence(self, sent, outs: BatchOutputs, local: int) -> Sentence:
@@ -233,29 +235,24 @@ class Model:
                 tok.stag = names[int(sid)]
         return filled
 
-    def _fill_parse(self, filled: Sentence, outs: BatchOutputs, local: int,
-                    use_mst: bool) -> None:
-        seq = len(filled)
-        probs = ad.softmax(outs.arc_logits[local], axis=-1).value
-        sm = ScoreMatrix.from_distributions(probs)
-        heads = chu_liu_edmonds(sm) if use_mst else enforce_tree(sm, greedy_heads(sm))
+    def _fill_parse(self, bucket: list, outs: BatchOutputs, use_mst: bool) -> None:
+        """Decode every sentence of a bucket, then label all decoded arcs at once."""
+        seq = len(bucket[0])
+        decoded = []
+        for arc_logits in outs.arc_logits:
+            sm = ScoreMatrix.from_distributions(ad.softmax(arc_logits, axis=-1).value)
+            decoded.append(chu_liu_edmonds(sm) if use_mst else enforce_tree(sm, greedy_heads(sm)))
         # labels condition on the final decoded head of each token
-        rows = seq + 1
-        lo = local * rows
-        dep_rows = lo + 1 + np.arange(seq)
-        head_rows = lo + np.asarray(heads[1:], dtype=np.int64)
-        logits = label_logits_pairs(
-            ad.embedding_lookup(outs.rel_dep, dep_rows),
-            ad.embedding_lookup(outs.rel_head, dep_rows),
-            ad.embedding_lookup(outs.rel_head, head_rows),
-            self.params,
-            self.head_config.rel_affine_uses_dep,
-        )
-        labels = assign_labels(heads, ad.softmax(logits, axis=-1).value)
+        offsets = np.arange(len(bucket))[:, None] * (seq + 1)
+        head_rows = (offsets + np.stack(decoded)[:, 1:]).ravel()
+        logits = self._label_logits(outs, self._token_rows(len(bucket), seq), head_rows)
+        label_probs = ad.softmax(logits, axis=-1).value
         names = self.vocab._inverse(self.vocab.rels)
-        for i, tok in enumerate(filled.tokens, start=1):
-            tok.head = int(heads[i])
-            tok.rel = names[int(labels[i])]
+        for local, (filled, heads) in enumerate(zip(bucket, decoded)):
+            labels = assign_labels(heads, label_probs[local * seq : (local + 1) * seq])
+            for i, tok in enumerate(filled.tokens, start=1):
+                tok.head = int(heads[i])
+                tok.rel = names[int(labels[i])]
 
     # ----- persistence ------------------------------------------------------
 

@@ -49,25 +49,42 @@ def save_tensors(path, tensors: dict, meta: dict | None = None) -> None:
 
 
 def load_tensors(path) -> tuple[dict, dict]:
-    """Read a container; returns ({name: ndarray}, meta)."""
+    """Read a container; returns ({name: ndarray}, meta).
+
+    Raises FormatError on any malformed file: bad magic, a header length
+    past the end of the file, a header that is not the documented JSON, an
+    unknown dtype, a repeated tensor name, or a payload that is truncated
+    or followed by extra bytes.
+    """
     with open(path, "rb") as f:
         blob = f.read()
     if blob[:8] != MAGIC:
         raise FormatError(f"{path}: bad magic {blob[:8]!r}")
+    if len(blob) < 16:
+        raise FormatError(f"{path}: truncated header length")
     (hlen,) = struct.unpack("<Q", blob[8:16])
+    if hlen > len(blob) - 16:
+        raise FormatError(f"{path}: header length {hlen} exceeds the {len(blob)}-byte file")
     try:
         header = json.loads(blob[16 : 16 + hlen].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
-        raise FormatError(f"{path}: bad header: {e}") from None
+        entries = [(e["name"], tuple(int(d) for d in e["shape"]), np.dtype(_DTYPES[e["dtype"]]))
+                   for e in header["tensors"]]
+        meta = header.get("meta", {})
+    except (KeyError, TypeError, ValueError) as e:  # JSON and UTF-8 errors are ValueErrors
+        raise FormatError(f"{path}: bad header: {e!r}") from None
     offset = 16 + hlen
     tensors = {}
-    for entry in header["tensors"]:
-        shape = tuple(entry["shape"])
-        dt = np.dtype(_DTYPES[entry["dtype"]])
+    for name, shape, dt in entries:
+        if name in tensors:
+            raise FormatError(f"{path}: duplicate tensor name {name!r}")
+        if any(d < 0 for d in shape):
+            raise FormatError(f"{path}: negative dimension in shape {shape} of {name!r}")
         nbytes = int(np.prod(shape, dtype=np.int64)) * dt.itemsize
         chunk = blob[offset : offset + nbytes]
         if len(chunk) != nbytes:
-            raise FormatError(f"{path}: truncated payload for {entry['name']!r}")
-        tensors[entry["name"]] = np.frombuffer(chunk, dtype=dt).reshape(shape).copy()
+            raise FormatError(f"{path}: truncated payload for {name!r}")
+        tensors[name] = np.frombuffer(chunk, dtype=dt).reshape(shape).copy()
         offset += nbytes
-    return tensors, header.get("meta", {})
+    if offset != len(blob):
+        raise FormatError(f"{path}: {len(blob) - offset} bytes after the last payload")
+    return tensors, meta

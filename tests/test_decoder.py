@@ -209,3 +209,34 @@ class TestChuLiuEdmonds:
             assert total_score(sm, heads) >= total_score(
                 sm, enforce_tree(sm, greedy_heads(sm))
             ) - 1e-12
+
+
+class TestNonFiniteScores:
+    @pytest.mark.parametrize("decode", [
+        chu_liu_edmonds,
+        lambda sm: enforce_tree(sm, greedy_heads(sm)),
+    ], ids=["mst", "greedy"])
+    def test_nan_matrix_rejected_before_decoding(self, decode):
+        with pytest.raises(ValueError, match="NaN"):
+            decode(ScoreMatrix(np.full((3, 4), np.nan)))
+
+    def test_single_nan_entry_rejected(self):
+        logp = random_matrix(np.random.default_rng(5), 4).log_probs
+        logp[2, 3] = np.nan
+        with pytest.raises(ValueError, match="dependent 3, head 3"):
+            ScoreMatrix(logp)
+
+    def test_nan_distribution_rejected(self):
+        probs = np.full((2, 3), 1 / 3)
+        probs[1, 0] = np.nan
+        with pytest.raises(ValueError, match="NaN"):
+            ScoreMatrix.from_distributions(probs)
+
+    def test_zero_probabilities_still_decode(self):
+        # zero probabilities become -inf scores, which are legal
+        probs = np.array([[1.0, 0.0, 0.0],
+                          [0.0, 1.0, 0.0]])
+        sm = ScoreMatrix.from_distributions(probs)
+        assert np.isneginf(sm.log_probs).sum() == 4
+        for heads in (chu_liu_edmonds(sm), enforce_tree(sm, greedy_heads(sm))):
+            assert list(heads) == [-1, 0, 1]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import numeric_grad, rel_err
+from reference import encode_tokens
 
 import tagparse.autodiff as ad
 from tagparse.autodiff import Tensor
@@ -12,8 +13,6 @@ from tagparse.encoder import (
     EncoderConfig,
     bilstm_stack,
     char_cnn,
-    encode_tokens,
-    highway_cell,
     init_encoder_params,
     lstm_cell,
     make_dropout_masks,
@@ -68,6 +67,17 @@ def tensorize(p):
     return {k: Tensor(v) for k, v in p.items()}
 
 
+def cell_step(x, h, c, p):
+    """lstm_cell on one row of numpy vectors; returns (h_t, c_t) as vectors."""
+    h_new, c_new = lstm_cell(Tensor(x[None]), Tensor(h[None]), Tensor(c[None]), p)
+    return h_new.value[0], c_new.value[0]
+
+
+def plain_params(p):
+    """The same cell without its highway parameters."""
+    return {k: v for k, v in p.items() if k not in ("W_r", "b_r", "W_h")}
+
+
 class TestCharCnn:
     def setup_method(self):
         rng = np.random.default_rng(7)
@@ -109,9 +119,9 @@ class TestLstmCell:
         rng = np.random.default_rng(9)
         x, h, c = rng.normal(size=4), rng.normal(size=3), rng.normal(size=3)
         p = tensorize(random_cell_params(rng, 4, 3, zero=True))
-        h_new, c_new = lstm_cell(Tensor(x), Tensor(h), Tensor(c), p)
-        np.testing.assert_allclose(c_new.value, 0.5 * c, atol=1e-12)
-        np.testing.assert_allclose(h_new.value, 0.5 * np.tanh(0.5 * c), atol=1e-12)
+        h_new, c_new = cell_step(x, h, c, p)
+        np.testing.assert_allclose(c_new, 0.5 * c, atol=1e-12)
+        np.testing.assert_allclose(h_new, 0.5 * np.tanh(0.5 * c), atol=1e-12)
 
     def test_saturated_gates_carry_memory(self):
         rng = np.random.default_rng(10)
@@ -119,47 +129,49 @@ class TestLstmCell:
         p["b_f"] += 50.0
         p["b_i"] -= 50.0
         x, h, c = rng.normal(size=4), rng.normal(size=3), rng.normal(size=3)
-        _, c_new = lstm_cell(Tensor(x), Tensor(h), Tensor(c), tensorize(p))
-        np.testing.assert_allclose(c_new.value, c, atol=1e-9)
+        _, c_new = cell_step(x, h, c, tensorize(p))
+        np.testing.assert_allclose(c_new, c, atol=1e-9)
 
     @pytest.mark.parametrize("trial", range(5))
     def test_matches_transcription_oracle(self, trial):
         rng = np.random.default_rng(100 + trial)
         p = random_cell_params(rng, 5, 4)
         x, h, c = rng.normal(size=5), rng.normal(size=4), rng.normal(size=4)
-        h_new, c_new = lstm_cell(Tensor(x), Tensor(h), Tensor(c), tensorize(p))
+        h_new, c_new = cell_step(x, h, c, tensorize(p))
         want_h, want_c = lstm_oracle(x, h, c, p)
-        np.testing.assert_allclose(h_new.value, want_h, atol=1e-12, rtol=0)
-        np.testing.assert_allclose(c_new.value, want_c, atol=1e-12, rtol=0)
+        np.testing.assert_allclose(h_new, want_h, atol=1e-12, rtol=0)
+        np.testing.assert_allclose(c_new, want_c, atol=1e-12, rtol=0)
 
 
 class TestHighwayCell:
+    """lstm_cell with the highway parameters W_r, b_r and W_h present."""
+
     def test_open_gate_equals_plain_lstm(self):
         rng = np.random.default_rng(11)
         p = random_cell_params(rng, 5, 4, highway=True)
         p["b_r"] = np.full(4, 50.0)
         x, h, c = rng.normal(size=5), rng.normal(size=4), rng.normal(size=4)
-        hw, _ = highway_cell(Tensor(x), Tensor(h), Tensor(c), tensorize(p))
-        plain, _ = lstm_cell(Tensor(x), Tensor(h), Tensor(c), tensorize(p))
-        np.testing.assert_allclose(hw.value, plain.value, atol=1e-9)
+        hw, _ = cell_step(x, h, c, tensorize(p))
+        plain, _ = cell_step(x, h, c, tensorize(plain_params(p)))
+        np.testing.assert_allclose(hw, plain, atol=1e-9)
 
     def test_closed_gate_passes_transformed_input(self):
         rng = np.random.default_rng(12)
         p = random_cell_params(rng, 5, 4, highway=True)
         p["b_r"] = np.full(4, -50.0)
         x, h, c = rng.normal(size=5), rng.normal(size=4), rng.normal(size=4)
-        hw, _ = highway_cell(Tensor(x), Tensor(h), Tensor(c), tensorize(p))
-        np.testing.assert_allclose(hw.value, p["W_h"] @ x, atol=1e-9)
+        hw, _ = cell_step(x, h, c, tensorize(p))
+        np.testing.assert_allclose(hw, p["W_h"] @ x, atol=1e-9)
 
     @pytest.mark.parametrize("trial", range(5))
     def test_matches_transcription_oracle(self, trial):
         rng = np.random.default_rng(200 + trial)
         p = random_cell_params(rng, 5, 4, highway=True)
         x, h, c = rng.normal(size=5), rng.normal(size=4), rng.normal(size=4)
-        hw, cw = highway_cell(Tensor(x), Tensor(h), Tensor(c), tensorize(p))
+        hw, cw = cell_step(x, h, c, tensorize(p))
         want_h, want_c = highway_oracle(x, h, c, p)
-        np.testing.assert_allclose(hw.value, want_h, atol=1e-12, rtol=0)
-        np.testing.assert_allclose(cw.value, want_c, atol=1e-12, rtol=0)
+        np.testing.assert_allclose(hw, want_h, atol=1e-12, rtol=0)
+        np.testing.assert_allclose(cw, want_c, atol=1e-12, rtol=0)
 
 
 def stack_params(rng, config, in_dim):
@@ -175,13 +187,18 @@ def stack_params(rng, config, in_dim):
     return params
 
 
+def run_stack(x, params, config):
+    """bilstm_stack on one [T, d] numpy sequence; returns [T, 2*hidden]."""
+    return bilstm_stack(Tensor(x[None]), params, config).value[0]
+
+
 class TestBilstmStack:
     def test_supertagger_layer_output_dim(self):
         config = supertagger_config(layers=1)
         rng = np.random.default_rng(13)
         params = stack_params(rng, config, 230)
-        out = bilstm_stack(Tensor(rng.normal(size=(2, 230))), params, config)
-        assert out.shape == (2, 2 * 512)
+        out = bilstm_stack(Tensor(rng.normal(size=(1, 2, 230))), params, config)
+        assert out.shape == (1, 2, 2 * 512)
 
     def test_reversal_swaps_directions_single_layer(self):
         config = EncoderConfig(hidden=6, layers=1, highway=True, dropout_input=0,
@@ -189,14 +206,14 @@ class TestBilstmStack:
         rng = np.random.default_rng(14)
         params = stack_params(rng, config, 5)
         x = rng.normal(size=(4, 5))
-        out = bilstm_stack(Tensor(x), params, config).value
+        out = run_stack(x, params, config)
         swapped = {}
         for k, v in params.items():
             if ".fw." in k:
                 swapped[k.replace(".fw.", ".bw.")] = v
             else:
                 swapped[k.replace(".bw.", ".fw.")] = v
-        out_rev = bilstm_stack(Tensor(x[::-1].copy()), swapped, config).value
+        out_rev = run_stack(x[::-1].copy(), swapped, config)
         h = config.hidden
         recon = np.concatenate([out_rev[::-1, h:], out_rev[::-1, :h]], axis=1)
         np.testing.assert_allclose(out, recon, atol=1e-12)
@@ -209,7 +226,7 @@ class TestBilstmStack:
         rng = np.random.default_rng(14)
         params = stack_params(rng, config, 5)
         x = rng.normal(size=(4, 5))
-        out = bilstm_stack(Tensor(x), params, config).value
+        out = run_stack(x, params, config)
         h = config.hidden
 
         def swap_x_cols(w):
@@ -225,7 +242,7 @@ class TestBilstmStack:
                 if name in ("W_i", "W_f", "W_c", "W_o", "W_r", "W_h"):
                     v = swap_x_cols(v)
             swapped[key] = v
-        out_rev = bilstm_stack(Tensor(x[::-1].copy()), swapped, config).value
+        out_rev = run_stack(x[::-1].copy(), swapped, config)
         recon = np.concatenate([out_rev[::-1, h:], out_rev[::-1, :h]], axis=1)
         np.testing.assert_allclose(out, recon, atol=1e-12)
 
@@ -235,7 +252,7 @@ class TestBilstmStack:
         rng = np.random.default_rng(15)
         params = stack_params(rng, config, 3)
         x = rng.normal(size=(1, 3))
-        out = bilstm_stack(Tensor(x), params, config).value
+        out = run_stack(x, params, config)
         # both directions see the same single input from zero state
         p = {k.split(".")[-1]: params[f"lstm.0.fw.{k.split('.')[-1]}"].value
              for k in params if ".fw." in k}
@@ -249,7 +266,7 @@ class TestBilstmStack:
         rng = np.random.default_rng(16)
         params = stack_params(rng, config, 4)
         x = rng.normal(size=(5, 4))
-        out = bilstm_stack(Tensor(x), params, config).value
+        out = run_stack(x, params, config)
 
         def run_dir(seq, prefix):
             p = {k.split(".")[-1]: params[f"{prefix}.{k.split('.')[-1]}"].value
@@ -275,7 +292,7 @@ class TestBilstmStack:
         x = rng.normal(size=(3, 4, 3))
         batched = bilstm_stack(Tensor(x), params, config).value
         for b in range(3):
-            single = bilstm_stack(Tensor(x[b]), params, config).value
+            single = run_stack(x[b], params, config)
             np.testing.assert_allclose(batched[b], single, atol=1e-12)
 
     def test_gradient_through_two_layer_highway_stack(self):
@@ -283,8 +300,8 @@ class TestBilstmStack:
                                dropout_layer=0, dropout_recurrent=0)
         rng = np.random.default_rng(18)
         params = stack_params(rng, config, 3)
-        x0 = rng.normal(size=(4, 3))
-        weights = rng.normal(size=(4, 6))
+        x0 = rng.normal(size=(1, 4, 3))
+        weights = rng.normal(size=(1, 4, 6))
 
         def f(xv):
             out = bilstm_stack(Tensor(xv), params, config)

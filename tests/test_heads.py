@@ -3,25 +3,42 @@
 import numpy as np
 import pytest
 
+from helpers import numeric_grad, rel_err
+
 import tagparse.autodiff as ad
 from tagparse.autodiff import Tensor
 from tagparse.heads import (
     HeadConfig,
     HeadFeatures,
-    arc_distribution,
     arc_logit_matrix,
     init_head_params,
     head_features,
-    label_distribution,
-    label_logits,
-    pos_distribution,
-    stag_distribution,
+    label_logits_pairs,
+    pos_logits,
+    stag_logits,
 )
 
 
 def softmax_np(x):
     e = np.exp(x - x.max())
     return e / e.sum()
+
+
+def arc_probs(feats, params):
+    """Row i-1: distribution of dependent i over the candidate heads."""
+    return ad.softmax(arc_logit_matrix(feats, params), axis=-1).value
+
+
+def label_pair_logits(feats, deps, heads, params, uses_dep=False):
+    """Relation scores for the arcs heads[k] -> deps[k] of one sentence."""
+    return label_logits_pairs(ad.embedding_lookup(feats.rel_dep, np.asarray(deps)),
+                              ad.embedding_lookup(feats.rel_head, np.asarray(deps)),
+                              ad.embedding_lookup(feats.rel_head, np.asarray(heads)),
+                              params, uses_dep)
+
+
+def label_probs(feats, deps, heads, params, uses_dep=False):
+    return ad.softmax(label_pair_logits(feats, deps, heads, params, uses_dep), axis=-1).value
 
 
 def make_feats(rng, n_plus_1, d_arc=None, d_rel=None, d_pos=None, d_stag=None):
@@ -45,23 +62,17 @@ class TestArcScores:
         feats = make_feats(rng, 6, d_arc=5)
         params = {"biaffine.W_arc": Tensor(np.zeros((5, 5))),
                   "biaffine.b_arc": Tensor(np.zeros(5))}
-        s = arc_distribution(feats, 2, params)
-        np.testing.assert_allclose(s.value, np.full(6, 1 / 6), atol=1e-15)
+        s = arc_probs(feats, params)[1]
+        np.testing.assert_allclose(s, np.full(6, 1 / 6), atol=1e-15)
 
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(1)
         feats = make_feats(rng, 7, d_arc=4)
         params = {"biaffine.W_arc": Tensor(rng.normal(size=(4, 4))),
                   "biaffine.b_arc": Tensor(rng.normal(size=4))}
-        for i in range(1, 7):
-            assert abs(arc_distribution(feats, i, params).value.sum() - 1.0) < 1e-9
-
-    def test_root_rejected(self):
-        rng = np.random.default_rng(2)
-        feats = make_feats(rng, 4, d_arc=3)
-        params = {"biaffine.W_arc": Tensor(np.eye(3)), "biaffine.b_arc": Tensor(np.zeros(3))}
-        with pytest.raises(ValueError):
-            arc_distribution(feats, 0, params)
+        probs = arc_probs(feats, params)
+        assert probs.shape == (6, 7)
+        np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-9)
 
     @pytest.mark.parametrize("trial", range(5))
     def test_matches_direct_loop(self, trial):
@@ -74,24 +85,22 @@ class TestArcScores:
         params = {"biaffine.W_arc": Tensor(w), "biaffine.b_arc": Tensor(b)}
         H = feats.arc_head.value
         D = feats.arc_dep.value
+        got = arc_probs(feats, params)
         for i in range(1, 6):
             scores = np.array([H[j] @ (w @ D[i]) + H[j] @ b for j in range(6)])
             want = softmax_np(scores)
-            got = arc_distribution(feats, i, params).value
-            np.testing.assert_allclose(got, want, atol=1e-12, rtol=0)
-            got_mat = ad.softmax(arc_logit_matrix(feats, params), axis=-1).value
-            np.testing.assert_allclose(got_mat[i - 1], want, atol=1e-12, rtol=0)
+            np.testing.assert_allclose(got[i - 1], want, atol=1e-12, rtol=0)
 
     def test_permuting_candidates_permutes_distribution(self):
         rng = np.random.default_rng(3)
         feats = make_feats(rng, 6, d_arc=4)
         params = {"biaffine.W_arc": Tensor(rng.normal(size=(4, 4))),
                   "biaffine.b_arc": Tensor(rng.normal(size=4))}
-        base = arc_distribution(feats, 2, params).value
+        base = arc_probs(feats, params)[1]
         perm = np.array([0, 3, 2, 5, 4, 1])  # fixes ROOT, shuffles the rest
         permuted = HeadFeatures(arc_dep=feats.arc_dep,
                                 arc_head=Tensor(feats.arc_head.value[perm]))
-        shuffled = arc_distribution(permuted, 2, params).value
+        shuffled = arc_probs(permuted, params)[1]
         np.testing.assert_allclose(shuffled, base[perm], atol=1e-12)
 
     def test_head_independent_score_shift_keeps_argmax(self):
@@ -123,22 +132,14 @@ class TestLabelScores:
         feats = make_feats(rng, 5, d_rel=4)
         params = self.make_params(rng, 4, 3, zero=True)
         params["rel.b"] = Tensor(np.array([0.0, 10.0, 0.0]))
-        for i in range(1, 5):
-            l = label_distribution(i, 0, feats, params)
-            assert np.argmax(l.value) == 1
+        probs = label_probs(feats, [1, 2, 3, 4], [0, 0, 0, 0], params)
+        assert np.all(np.argmax(probs, axis=1) == 1)
 
     def test_sums_to_one(self):
         rng = np.random.default_rng(6)
         feats = make_feats(rng, 5, d_rel=4)
         params = self.make_params(rng, 4, 3)
-        assert abs(label_distribution(2, 4, feats, params).value.sum() - 1.0) < 1e-9
-
-    def test_head_out_of_range_rejected(self):
-        rng = np.random.default_rng(7)
-        feats = make_feats(rng, 5, d_rel=4)
-        params = self.make_params(rng, 4, 3)
-        with pytest.raises(IndexError):
-            label_distribution(2, 9, feats, params)
+        assert abs(label_probs(feats, [2], [4], params).sum() - 1.0) < 1e-9
 
     @pytest.mark.parametrize("uses_dep", [False, True])
     @pytest.mark.parametrize("trial", range(5))
@@ -150,8 +151,10 @@ class TestLabelScores:
         params["rel.b"] = Tensor(rng.normal(size=r))
         U, W, b = params["rel.U"].value, params["rel.W"].value, params["rel.b"].value
         RD, RH = feats.rel_dep.value, feats.rel_head.value
-        for i in range(1, 5):
-            p_i = (i + 1) % 5
+        deps = [1, 2, 3, 4]
+        heads = [(i + 1) % 5 for i in deps]
+        got = label_probs(feats, deps, heads, params, uses_dep)
+        for i, p_i in zip(deps, heads):
             scores = np.zeros(r)
             for k in range(r):
                 bilinear = 0.0
@@ -161,8 +164,43 @@ class TestLabelScores:
                 first = RD[i] if uses_dep else RH[i]
                 scores[k] = bilinear + W[k] @ (first + RH[p_i]) + b[k]
             want = softmax_np(scores)
-            got = label_distribution(i, p_i, feats, params, rel_affine_uses_dep=uses_dep)
-            np.testing.assert_allclose(got.value, want, atol=1e-12, rtol=0)
+            np.testing.assert_allclose(got[i - 1], want, atol=1e-12, rtol=0)
+
+    @pytest.mark.parametrize("uses_dep", [False, True])
+    def test_gradients_match_finite_differences(self, uses_dep):
+        rng = np.random.default_rng(60)
+        d_rel, r = 4, 3
+        feats = make_feats(rng, 5, d_rel=d_rel)
+        params = self.make_params(rng, d_rel, r)
+        params["rel.b"] = Tensor(rng.normal(size=r))
+        params = {k: ad.parameter(v.value) for k, v in params.items()}
+        deps, heads = [1, 2, 3, 4, 2], [0, 3, 1, 2, 4]
+        weights = Tensor(rng.normal(size=(len(deps), r)))
+
+        def loss():
+            logits = label_pair_logits(feats, deps, heads, params, uses_dep)
+            return ad.reduce_sum(ad.mul(logits, weights))
+
+        grads = ad.gradients(loss(), params)
+        for name in ("rel.U", "rel.W", "rel.b"):
+            p = params[name]
+            saved = p.value.copy()
+
+            def f(v):
+                p.value[...] = v
+                out = float(loss().value)
+                p.value[...] = saved
+                return out
+
+            assert rel_err(grads[name], numeric_grad(f, saved)) < 1e-6, name
+
+
+def pos_probs(feats, params):
+    return ad.softmax(pos_logits(feats, params), axis=-1).value
+
+
+def stag_probs(feats, params):
+    return ad.softmax(stag_logits(feats, params), axis=-1).value
 
 
 class TestTagHeads:
@@ -171,8 +209,8 @@ class TestTagHeads:
         feats = make_feats(rng, 4, d_pos=5, d_stag=5)
         params = {"out.pos.W": Tensor(np.zeros((6, 5))), "out.pos.b": Tensor(np.zeros(6)),
                   "out.stag.W": Tensor(np.zeros((9, 5))), "out.stag.b": Tensor(np.zeros(9))}
-        np.testing.assert_allclose(pos_distribution(feats, params).value, 1 / 6, atol=1e-15)
-        np.testing.assert_allclose(stag_distribution(feats, params).value, 1 / 9, atol=1e-15)
+        np.testing.assert_allclose(pos_probs(feats, params), 1 / 6, atol=1e-15)
+        np.testing.assert_allclose(stag_probs(feats, params), 1 / 9, atol=1e-15)
 
     def test_temperature_drives_max_to_one(self):
         rng = np.random.default_rng(9)
@@ -180,10 +218,10 @@ class TestTagHeads:
         w = rng.normal(size=(6, 5))
         for scale, bound in [(1.0, 0.999), (1000.0, 1e-9)]:
             params = {"out.pos.W": Tensor(w * scale), "out.pos.b": Tensor(np.zeros(6))}
-            probs = pos_distribution(feats, params).value
+            probs = pos_probs(feats, params)
             assert np.all(probs.max(axis=1) > 1.0 - bound) or scale == 1.0
         params = {"out.pos.W": Tensor(w * 1000.0), "out.pos.b": Tensor(np.zeros(6))}
-        assert np.all(pos_distribution(feats, params).value.max(axis=1) > 1 - 1e-9)
+        assert np.all(pos_probs(feats, params).max(axis=1) > 1 - 1e-9)
 
     @pytest.mark.parametrize("trial", range(5))
     def test_matches_transcription_oracle(self, trial):
@@ -193,8 +231,8 @@ class TestTagHeads:
                   "out.pos.b": Tensor(rng.normal(size=6)),
                   "out.stag.W": Tensor(rng.normal(size=(7, 3))),
                   "out.stag.b": Tensor(rng.normal(size=7))}
-        got_pos = pos_distribution(feats, params).value
-        got_stag = stag_distribution(feats, params).value
+        got_pos = pos_probs(feats, params)
+        got_stag = stag_probs(feats, params)
         for k in range(4):
             want = softmax_np(params["out.pos.W"].value @ feats.pos.value[k]
                               + params["out.pos.b"].value)
@@ -212,9 +250,9 @@ def test_all_outputs_finite_on_finite_inputs():
     encoded = Tensor(rng.normal(size=(5, 8)) * 100)
     feats = head_features(encoded, params)
     assert np.all(np.isfinite(arc_logit_matrix(feats, params).value))
-    assert np.all(np.isfinite(label_logits(feats, [0, 2, 1, 0], params).value))
-    assert np.all(np.isfinite(pos_distribution(feats, params).value))
-    assert np.all(np.isfinite(stag_distribution(feats, params).value))
+    assert np.all(np.isfinite(label_pair_logits(feats, [1, 2, 3, 4], [0, 2, 1, 0], params).value))
+    assert np.all(np.isfinite(pos_probs(feats, params)))
+    assert np.all(np.isfinite(stag_probs(feats, params)))
 
 
 def test_mlp_widths_match_config():

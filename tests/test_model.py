@@ -3,9 +3,12 @@
 import numpy as np
 import pytest
 
+from reference import encode_tokens
+
 import tagparse.autodiff as ad
+import tagparse.model as tm
 from tagparse.decoder import is_valid_tree
-from tagparse.encoder import EncoderConfig, bilstm_stack, encode_tokens
+from tagparse.encoder import EncoderConfig, bilstm_stack
 from tagparse.heads import HeadConfig
 from tagparse.model import Model
 from tagparse.synthetic import make_corpus
@@ -42,7 +45,8 @@ def test_batched_encoder_matches_per_sentence_path(corpus, joint_model):
     model = joint_model
     sent = corpus[0]
     inputs = encode_tokens(sent, model.mode, model.params, model.vocab, model.enc_config)
-    single = bilstm_stack(inputs, model.params, model.enc_config).value
+    single = bilstm_stack(ad.reshape(inputs, (1,) + inputs.shape), model.params,
+                          model.enc_config).value[0]
     batch_inputs = model._input_batch([sent])
     batched = bilstm_stack(batch_inputs, model.params, model.enc_config).value[0]
     np.testing.assert_allclose(batched, single, atol=1e-12)
@@ -86,6 +90,37 @@ def test_mst_predictions_are_valid_trees(corpus, joint_model):
     for sent in joint_model.predict(corpus[:4], use_mst=True):
         heads = np.array([-1] + [t.head for t in sent.tokens])
         assert is_valid_tree(heads)
+
+
+def _columns(sentences):
+    return [[(t.head, t.rel, t.pred_pos, t.stag) for t in s.tokens] for s in sentences]
+
+
+@pytest.mark.parametrize("use_mst", [False, True], ids=["greedy", "mst"])
+def test_bucketed_predict_matches_one_at_a_time(corpus, joint_model, use_mst):
+    # a bucket is decoded sentence by sentence, then labeled in one call
+    seq = max({len(s) for s in corpus}, key=lambda n: sum(len(s) == n for s in corpus))
+    bucket = [s for s in corpus if len(s) == seq]
+    assert len(bucket) >= 3
+    together = joint_model.predict(bucket, use_mst=use_mst)
+    alone = [joint_model.predict([s], use_mst=use_mst)[0] for s in bucket]
+    assert _columns(together) == _columns(alone)
+
+
+def test_predict_labels_each_bucket_with_one_call(corpus, joint_model, monkeypatch):
+    calls = []
+    real = tm.label_logits_pairs
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(tm, "label_logits_pairs", counting)
+    joint_model.predict(corpus)
+    buckets = {len(s) for s in corpus}
+    # one call in forward (argmax heads) and one for the decoded heads
+    assert len(calls) == 2 * len(buckets)
+    assert sum(calls) == 2 * sum(len(s) for s in corpus)
 
 
 def test_save_load_round_trip(tmp_path, corpus, joint_model):

@@ -1,5 +1,8 @@
 """Round-trip and format checks for the tensor container."""
 
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -48,5 +51,29 @@ def test_truncated_payload_rejected(tmp_path):
     save_tensors(path, {"a": np.ones((4, 4))})
     blob = path.read_bytes()
     path.write_bytes(blob[:-8])
+    with pytest.raises(FormatError):
+        load_tensors(path)
+
+
+def _container(header: bytes, hlen: int | None = None, payload: bytes = b"") -> bytes:
+    size = len(header) if hlen is None else hlen
+    return b"TPTENS01" + struct.pack("<Q", size) + header + payload
+
+
+@pytest.mark.parametrize("blob", [
+    _container(json.dumps({"meta": {}}).encode()),
+    _container(json.dumps({"tensors": [{"name": "a", "shape": [1], "dtype": "i4"}]}).encode(),
+               payload=b"\x00" * 4),
+    b"TPTENS01",
+    _container(b'{"tensors":[]}', hlen=10**6),  # a 30-byte file
+    _container(json.dumps({"tensors": [{"name": "a", "shape": [1], "dtype": "f8"}] * 2}).encode(),
+               payload=b"\x00" * 16),
+    _container(json.dumps({"tensors": [{"name": "a", "shape": [1], "dtype": "f8"}]}).encode(),
+               payload=b"\x00" * 12),
+], ids=["no-tensors-key", "unknown-dtype", "magic-only", "header-past-end", "duplicate-name",
+        "trailing-bytes"])
+def test_malformed_container_raises_format_error(tmp_path, blob):
+    path = tmp_path / "bad.tpt"
+    path.write_bytes(blob)
     with pytest.raises(FormatError):
         load_tensors(path)
