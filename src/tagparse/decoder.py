@@ -4,8 +4,8 @@ The default decoder takes the row-wise greedy head and, when the result is
 not already an arborescence, applies two deterministic repairs:
 
 (a) root repair — if several tokens attach to ROOT, the one with the best
-    ROOT score keeps it and the rest re-predict with ROOT masked; if none
-    attaches to ROOT, the token with the best ROOT score is attached;
+    ROOT score keeps it and the rest re-predict among the other tokens; if
+    none attaches to ROOT, the token with the best ROOT score is attached;
 (b) cycle repair — while a cycle exists, the cycle node whose best
     replacement head loses the least score is reattached there. Candidate
     replacement heads are the nodes currently reachable from ROOT (always
@@ -14,9 +14,11 @@ not already an arborescence, applies two deterministic repairs:
 
 Ties break toward the smallest token index, then the smallest head index.
 
-`chu_liu_edmonds` provides an exact maximum-spanning-arborescence decoder
-(with the single-root constraint) behind a flag for comparison; it is not
-the default.
+`chu_liu_edmonds` is the exact decoder: one Chu-Liu/Edmonds pass (greedy
+heads, contract a cycle, solve the smaller graph, expand) over the scores
+with a penalty on every ROOT arc larger than the gap between any two trees,
+so the best tree it finds has exactly one ROOT child. -inf scores become a
+smaller penalty, so it always returns a tree, with as few -inf arcs as any.
 """
 
 from __future__ import annotations
@@ -143,9 +145,8 @@ def enforce_tree(sm: ScoreMatrix, heads: np.ndarray) -> np.ndarray:
         for i in roots:
             if i == keep:
                 continue
-            masked = sm.row(i).copy()
-            masked[0] = NEG_INF
-            heads[i] = int(np.argmax(masked))
+            others = [j for j in range(1, n + 1) if j != i]  # never ROOT, even at -inf
+            heads[i] = others[int(np.argmax(sm.row(i)[others]))]
     for _ in range(n):
         reach = _reachable(heads)
         if len(reach) == n:
@@ -155,7 +156,8 @@ def enforce_tree(sm: ScoreMatrix, heads: np.ndarray) -> np.ndarray:
         for i in sorted(cycle):
             current = sm.row(i)[heads[i]]
             for j in sorted(reach):
-                loss = current - sm.row(i)[j]
+                alt = sm.row(i)[j]
+                loss = 0.0 if alt == current else current - alt  # -inf to -inf loses nothing
                 cand = (loss, i, j)
                 if best is None or cand < best:
                     best = cand
@@ -175,103 +177,56 @@ def assign_labels(heads: np.ndarray, label_dists: np.ndarray) -> np.ndarray:
     return labels
 
 
-def _cle_fixed_root(scores: np.ndarray) -> np.ndarray:
-    """Unconstrained Chu-Liu/Edmonds on scores[dep, head] (0 = ROOT).
+def _max_arborescence(scores: np.ndarray) -> np.ndarray:
+    """Chu-Liu/Edmonds on the dense scores[dep, head] of nodes 0..m, rooted at 0.
 
-    Recursive contraction; returns heads for dependents 1..n.
+    Every node but 0 needs a finite in-arc. Each node takes its best head;
+    a cycle among those choices becomes one node, whose in-arc from u scores
+    the gain of entering the cycle from u at its best place; the smaller
+    graph is solved and the cycle expanded again. Returns heads with -1 at 0.
     """
-    n = scores.shape[0] - 1
-    nodes = list(range(1, n + 1))
-    best = {v: max((u for u in range(n + 1) if u != v),
-                   key=lambda u: (scores[v, u], -u)) for v in nodes}
-
-    # find a cycle in the chosen edges
-    cycle = None
-    for start in nodes:
-        path, node = [], start
-        while node != 0 and node not in path:
-            path.append(node)
-            node = best[node]
-        if node != 0:
-            cycle = path[path.index(node):]
-            break
-    if cycle is None:
-        heads = np.full(n + 1, -1, dtype=np.int64)
-        for v in nodes:
-            heads[v] = best[v]
+    heads = np.argmax(scores, axis=1)
+    heads[0] = -1
+    cycle = _find_cycle(heads, _reachable(heads))
+    if not cycle:
         return heads
-
-    cyc = set(cycle)
-    cyc_score = sum(scores[v, best[v]] for v in cycle)
-    c = n + 1  # supernode id
-    m = n + 2
-    new_scores = np.full((m, m), NEG_INF)
-    into, out_of = {}, {}
-    old = [u for u in range(n + 1) if u not in cyc]
-    remap = {u: idx for idx, u in enumerate(old)}  # 0 stays 0
-    for v in nodes:
-        if v in cyc:
-            continue
-        nv = remap[v]
-        for u in range(n + 1):
-            if u == v:
-                continue
-            if u in cyc:
-                cand = scores[v, u]
-                if cand > new_scores[nv, len(old)]:
-                    new_scores[nv, len(old)] = cand
-                    out_of[v] = u
-            else:
-                new_scores[nv, remap[u]] = scores[v, u]
-    for u in range(n + 1):
-        if u in cyc:
-            continue
-        best_gain, best_v = NEG_INF, None
-        for v in cycle:
-            gain = scores[v, u] + cyc_score - scores[v, best[v]]
-            if gain > best_gain:
-                best_gain, best_v = gain, v
-        new_scores[len(old), remap[u]] = best_gain
-        into[u] = best_v
-
-    sub = _cle_fixed_root(new_scores[: len(old) + 1, : len(old) + 1])
-    heads = np.full(n + 1, -1, dtype=np.int64)
-    inv = {idx: u for u, idx in remap.items()}
-    inv[len(old)] = c
-    for nv in range(1, len(old) + 1):
-        v, u = inv[nv], inv[sub[nv]]
-        if v == c:
-            entry_head = u
-            entry_dep = into[u]
-            for w in cycle:
-                heads[w] = best[w]
-            heads[entry_dep] = entry_head
-        else:
-            heads[v] = out_of[v] if u == c else u
+    cycle = np.sort(cycle)  # ties go to the smallest cycle node
+    rest = np.setdiff1d(np.arange(len(heads)), cycle)  # ROOT stays node 0
+    m = len(rest)  # the contracted cycle is node m
+    sub = np.full((m + 1, m + 1), NEG_INF)
+    sub[:m, :m] = scores[np.ix_(rest, rest)]
+    leave = scores[np.ix_(rest, cycle)]
+    leave_from = np.argmax(leave, axis=1)
+    sub[:m, m] = leave[np.arange(m), leave_from]
+    enter = scores[np.ix_(cycle, rest)] - scores[cycle, heads[cycle]][:, None]
+    enter_at = np.argmax(enter, axis=0)
+    sub[m, :m] = enter[enter_at, np.arange(m)]
+    sub_heads = _max_arborescence(sub)
+    outside = sub_heads[1:m]
+    heads[rest[1:]] = np.where(outside == m, cycle[leave_from[1:]], np.append(rest, -1)[outside])
+    entry = sub_heads[m]
+    heads[cycle[enter_at[entry]]] = rest[entry]
     return heads
 
 
 def chu_liu_edmonds(sm: ScoreMatrix) -> np.ndarray:
-    """Maximum-scoring arborescence with exactly one ROOT child."""
+    """Maximum-scoring arborescence with exactly one ROOT child.
+
+    One `_max_arborescence` pass over a dense copy of the scores in which a
+    -inf arc costs more than any finite choice gains, and every ROOT arc
+    costs more again, so that fewer ROOT children always win. The result is
+    the best single-rooted tree with the fewest -inf arcs.
+    """
     n = sm.n
     if n == 0:
         raise ValueError("chu_liu_edmonds: empty sentence")
+    logp = sm.log_probs
+    finite = np.isfinite(logp)
+    lo, hi = (logp[finite].min(), logp[finite].max()) if finite.any() else (0.0, 0.0)
+    spread = n * (hi - lo) + 1.0  # more than the finite totals of two trees differ by
     scores = np.full((n + 1, n + 1), NEG_INF)
-    scores[1:, :] = sm.log_probs
-    best_heads, best_total = None, NEG_INF
-    for r in range(1, n + 1):
-        if not np.isfinite(scores[r, 0]) and n > 1:
-            continue
-        trial = scores.copy()
-        trial[:, 0] = NEG_INF
-        trial[r, 0] = scores[r, 0]
-        heads = _cle_fixed_root(trial)
-        if not is_valid_tree(heads):
-            continue
-        total = sum(trial[v, heads[v]] for v in range(1, n + 1))
-        if total > best_total:
-            best_total, best_heads = total, heads
-    if best_heads is None:
-        # all ROOT scores -inf; fall back to the greedy+repair path
-        return enforce_tree(sm, greedy_heads(sm))
-    return best_heads
+    scores[1:] = np.where(finite, logp, lo - spread)
+    # entries now lie in [lo - spread, hi]: two totals differ by less than (n + 1) * spread
+    scores[1:, 0] -= (n + 1) * spread
+    np.fill_diagonal(scores, NEG_INF)  # self-heads were -inf, so the line above made them finite
+    return _max_arborescence(scores)

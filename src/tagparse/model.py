@@ -37,7 +37,7 @@ from .heads import (
     pos_logits,
     stag_logits,
 )
-from .serialize import load_tensors, save_tensors
+from .serialize import FormatError, load_tensors, save_tensors
 from .vocab import Vocabulary
 
 __all__ = ["Model", "BatchOutputs"]
@@ -267,14 +267,25 @@ class Model:
 
     @classmethod
     def load(cls, path) -> "Model":
+        """Read a checkpoint written by `save`.
+
+        Raises FormatError, naming the first mismatch, unless the tensors are
+        exactly the parameters (names and shapes) that `__init__` builds for
+        the stored mode and configs.
+        """
         tensors, meta = load_tensors(path)
-        vocab = Vocabulary.from_json(meta["vocab"])
-        enc_config = EncoderConfig(**meta["encoder"])
-        head_config = HeadConfig(**meta["heads"])
-        model = cls.__new__(cls)
-        model.vocab = vocab
-        model.mode = meta["mode"]
-        model.enc_config = enc_config
-        model.head_config = head_config
-        model.params = {k: ad.parameter(v) for k, v in tensors.items()}
+        # __init__ lays out the expected parameters; their random values are replaced below
+        model = cls(Vocabulary.from_json(meta["vocab"]), meta["mode"],
+                    EncoderConfig(**meta["encoder"]), HeadConfig(**meta["heads"]),
+                    np.random.default_rng(0))
+        for name, param in model.params.items():
+            if name not in tensors:
+                raise FormatError(f"{path}: missing tensor {name!r}")
+            if tensors[name].shape != param.shape:
+                raise FormatError(f"{path}: tensor {name!r} has shape {tensors[name].shape},"
+                                  f" expected {param.shape}")
+        extra = [name for name in tensors if name not in model.params]
+        if extra:
+            raise FormatError(f"{path}: unexpected tensor {extra[0]!r}")
+        model.params = {name: ad.parameter(tensors[name]) for name in model.params}
         return model

@@ -184,6 +184,10 @@ def train(train_corpus: list, dev_corpus: list, config: TrainConfig,
         for batch in make_batches(train_corpus, config.batch_size, rng):
             ad.zero_grads(model.params)
             loss = joint_loss(model.forward(batch, rng), batch, vocab, config.mode)
+            if not np.isfinite(loss.value):
+                raise FloatingPointError(
+                    f"train: loss {float(loss.value)} in epoch {epoch} on a batch of "
+                    f"{len(batch)} sentences of length {len(batch[0])}")
             grads = ad.gradients(loss, model.params)
             adam_step(model.params, grads, state)
             total_loss += float(loss.value)
@@ -231,13 +235,14 @@ def jackknife(corpus: list, config: TrainConfig, enc_config: EncoderConfig,
               head_config: HeadConfig | None = None, k: int | None = None) -> tuple:
     """Predict tags for every sentence with a model never trained on its fold.
 
-    Returns (corpus copy with predictions filled, provenance records).
-    Order is preserved; `config.mode` decides whether predicted POS or
-    supertags are written.
+    Fold f is predicted by a model trained on k-2 folds that early-stops on
+    fold f+1 (wrapping around). Returns (corpus copy with predictions filled,
+    provenance records). Order is preserved; `config.mode` decides whether
+    predicted POS or supertags are written.
     """
     k = k if k is not None else config.folds
-    if k < 2:
-        raise ValueError("jackknife: need k >= 2")
+    if k < 3:
+        raise ValueError("jackknife: need k >= 3 folds (predict, early-stop, train)")
     if len(corpus) < k:
         raise ValueError(f"jackknife: corpus of {len(corpus)} sentences is smaller than k={k}")
     spans = fold_spans(len(corpus), k)
@@ -245,9 +250,10 @@ def jackknife(corpus: list, config: TrainConfig, enc_config: EncoderConfig,
     provenance = []
     for f, (lo, hi) in enumerate(spans):
         held_out = corpus[lo:hi]
-        rest = corpus[:lo] + corpus[hi:]
-        trained_on = tuple(g for g in range(k) if g != f)
-        result = train(rest, rest, config, enc_config, head_config)
+        dev_fold = (f + 1) % k
+        trained_on = tuple(g for g in range(k) if g not in (f, dev_fold))
+        rest = [s for g in trained_on for s in corpus[slice(*spans[g])]]
+        result = train(rest, corpus[slice(*spans[dev_fold])], config, enc_config, head_config)
         pred = result.model.predict(held_out)
         for offset, sent in enumerate(pred):
             idx = lo + offset

@@ -38,10 +38,36 @@ def independent_valid(heads):
     return len(seen) == n
 
 
-def random_matrix(rng, n):
+def random_matrix(rng, n, zero_share=0.0):
+    """Random log-probabilities; about `zero_share` of the entries are -inf."""
     logits = rng.normal(size=(n, n + 1)) * 2.0
     logp = logits - np.log(np.exp(logits).sum(axis=1, keepdims=True))
+    if zero_share:  # draws nothing more otherwise, so older callers see the same matrices
+        logp[rng.random(logp.shape) < zero_share] = -np.inf
     return ScoreMatrix(logp)
+
+
+def all_trees(n):
+    """Every head vector [-1, h1..hn] with one ROOT child and no cycle.
+
+    Enumerates all head choices at once and keeps those from which n steps
+    of pointer jumping reach ROOT from every token.
+    """
+    heads = np.indices((n + 1,) * n).reshape(n, -1).T
+    heads = heads[((heads == 0).sum(axis=1) == 1) & (heads != np.arange(1, n + 1)).all(axis=1)]
+    full = np.concatenate([np.zeros((len(heads), 1), dtype=heads.dtype), heads], axis=1)
+    walk = full  # ROOT points to itself, so walks that reach it stay there
+    for _ in range(n):
+        walk = np.take_along_axis(full, walk, axis=1)
+    trees = full[(walk == 0).all(axis=1)]
+    trees[:, 0] = -1
+    return trees
+
+
+DECODERS = pytest.mark.parametrize("decode", [
+    chu_liu_edmonds,
+    lambda sm: enforce_tree(sm, greedy_heads(sm)),
+], ids=["mst", "greedy"])
 
 
 def total_score(sm, heads):
@@ -174,48 +200,48 @@ class TestAssignLabels:
 
 
 class TestChuLiuEdmonds:
-    def brute_force(self, sm):
-        n = sm.n
-        best, best_total = None, -np.inf
-        for combo in itertools.product(range(n + 1), repeat=n):
-            heads = np.array([-1, *combo])
-            if any(heads[i] == i for i in range(1, n + 1)):
-                continue
-            if not independent_valid(heads):
-                continue
-            total = total_score(sm, heads)
-            if total > best_total:
-                best, best_total = heads, total
-        return best, best_total
+    def test_tree_enumeration_is_complete(self):
+        # rooted labelled trees on n nodes: n ** (n - 1) (Cayley)
+        for n in range(1, 7):
+            trees = all_trees(n)
+            assert len(trees) == n ** (n - 1)
+            assert all(independent_valid(t) for t in trees[:: max(1, len(trees) // 50)])
 
     def test_matches_brute_force_on_small_instances(self):
         rng = np.random.default_rng(3)
-        for _ in range(200):
-            n = int(rng.integers(1, 5))
-            sm = random_matrix(rng, n)
+        trees = {n: all_trees(n) for n in range(1, 7)}
+        infeasible = 0
+        for k in range(600):
+            n = int(rng.integers(1, 7))
+            sm = random_matrix(rng, n, zero_share=(0.0, 0.3, 0.6)[k % 3])
             heads = chu_liu_edmonds(sm)
             assert independent_valid(heads)
-            _, want_total = self.brute_force(sm)
-            np.testing.assert_allclose(total_score(sm, heads), want_total, atol=1e-12)
+            arcs = sm.log_probs[np.arange(n), trees[n][:, 1:]]
+            # fewest -inf arcs of any tree, and the best total when that is zero
+            assert np.isneginf(sm.log_probs[np.arange(n), heads[1:]]).sum() == \
+                np.isneginf(arcs).sum(axis=1).min()
+            want_total = arcs.sum(axis=1).max()
+            if np.isfinite(want_total):
+                np.testing.assert_allclose(total_score(sm, heads), want_total, atol=1e-12)
+            else:
+                infeasible += 1
+        assert 0 < infeasible < 300  # the sample has both kinds of matrix
 
     def test_valid_on_larger_instances(self):
         rng = np.random.default_rng(4)
-        for _ in range(100):
-            n = int(rng.integers(5, 13))
-            sm = random_matrix(rng, n)
+        for k in range(240):
+            n = int(rng.integers(1, 41))
+            sm = random_matrix(rng, n, zero_share=(0.0, 0.3, 0.9)[k % 3])
             heads = chu_liu_edmonds(sm)
+            repaired = enforce_tree(sm, greedy_heads(sm))
             assert independent_valid(heads)
+            assert independent_valid(repaired)
             # never worse than the greedy+repair heuristic
-            assert total_score(sm, heads) >= total_score(
-                sm, enforce_tree(sm, greedy_heads(sm))
-            ) - 1e-12
+            assert total_score(sm, heads) >= total_score(sm, repaired) - 1e-12
 
 
 class TestNonFiniteScores:
-    @pytest.mark.parametrize("decode", [
-        chu_liu_edmonds,
-        lambda sm: enforce_tree(sm, greedy_heads(sm)),
-    ], ids=["mst", "greedy"])
+    @DECODERS
     def test_nan_matrix_rejected_before_decoding(self, decode):
         with pytest.raises(ValueError, match="NaN"):
             decode(ScoreMatrix(np.full((3, 4), np.nan)))
@@ -240,3 +266,11 @@ class TestNonFiniteScores:
         assert np.isneginf(sm.log_probs).sum() == 4
         for heads in (chu_liu_edmonds(sm), enforce_tree(sm, greedy_heads(sm))):
             assert list(heads) == [-1, 0, 1]
+
+    @DECODERS
+    def test_only_root_arcs_possible_still_single_rooted(self, decode):
+        # every token's only finite head is ROOT, so no finite tree has one ROOT child
+        sm = ScoreMatrix.from_distributions([[1, 0, 0], [1, 0, 0]])
+        heads = decode(sm)
+        assert independent_valid(heads)
+        assert list(heads) == [-1, 0, 1]

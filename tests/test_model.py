@@ -11,6 +11,7 @@ from tagparse.decoder import is_valid_tree
 from tagparse.encoder import EncoderConfig, bilstm_stack
 from tagparse.heads import HeadConfig
 from tagparse.model import Model
+from tagparse.serialize import FormatError, load_tensors, save_tensors
 from tagparse.synthetic import make_corpus
 from tagparse.vocab import Vocabulary
 
@@ -134,6 +135,24 @@ def test_save_load_round_trip(tmp_path, corpus, joint_model):
         assert [t.rel for t in sa.tokens] == [t.rel for t in sb.tokens]
         assert [t.stag for t in sa.tokens] == [t.stag for t in sb.tokens]
         assert [t.pred_pos for t in sa.tokens] == [t.pred_pos for t in sb.tokens]
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda p: p.pop("rel.b"), "missing tensor 'rel.b'"),
+    (lambda p: p.update({"lstm.0.fw.W_i": p["lstm.0.fw.W_i"][:, :3]}),
+     r"tensor 'lstm.0.fw.W_i' has shape \(7, 3\), expected \(7, \d+\)"),
+    (lambda p: p.update({"rel.extra": np.zeros(2)}), "unexpected tensor 'rel.extra'"),
+    (lambda p: p.update({"lstm.0.fw.W_i": p["lstm.0.fw.W_i"][:, :3]}) or p.pop("rel.b"),
+     "tensor 'lstm.0.fw.W_i' has shape"),  # the first mismatch in parameter order
+], ids=["missing", "shape", "extra", "both"])
+def test_load_rejects_tensors_that_do_not_fit_the_config(tmp_path, joint_model, edit, message):
+    path = tmp_path / "model.tpt"
+    joint_model.save(path)
+    tensors, meta = load_tensors(path)
+    edit(tensors)
+    save_tensors(path, tensors, meta)
+    with pytest.raises(FormatError, match=message):
+        Model.load(path)
 
 
 def test_supertagger_mode_only_fills_stags(corpus):

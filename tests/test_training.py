@@ -198,6 +198,17 @@ class TestEarlyStopping:
         assert len(result.history) == 6
 
 
+class TestNonFiniteLoss:
+    def test_nan_parameter_stops_training(self, corpus):
+        # a NaN word vector makes the loss of the first batch holding the word NaN
+        form = corpus[0].tokens[0].form
+        cfg = TrainConfig(mode="parser", batch_size=8, max_epochs=2, seed=0)
+        with pytest.raises(FloatingPointError,
+                           match=r"loss nan in epoch 1 on a batch of \d+ sentences of length \d+"):
+            train(corpus, corpus, cfg, tiny_enc(), tiny_heads(),
+                  pretrained={form: np.full(6, np.nan)})
+
+
 class TestJackknife:
     def test_fold_spans_contiguous(self):
         assert fold_spans(4, 2) == [(0, 2), (2, 4)]
@@ -223,12 +234,37 @@ class TestJackknife:
             assert [t.form for t in orig.tokens] == [t.form for t in filled.tokens]
             assert all(t.stag is not None for t in filled.tokens)
 
+    def test_early_stops_on_a_fold_it_does_not_train_on(self, corpus, monkeypatch):
+        calls = []
+        real_train = training.train
+
+        def spy(train_corpus, dev_corpus, *args, **kw):
+            calls.append((train_corpus, dev_corpus))
+            return real_train(train_corpus, dev_corpus, *args, **kw)
+
+        monkeypatch.setattr(training, "train", spy)
+        cfg = TrainConfig(mode="supertagger", batch_size=8, lr=0.01, patience=1,
+                          max_epochs=1, seed=0, folds=4)
+        _, provenance = jackknife(corpus, cfg, tiny_enc(), tiny_heads())
+        spans = fold_spans(len(corpus), 4)
+        trained_on = {rec.fold: rec.trained_on for rec in provenance}
+        assert len(calls) == 4
+        for f, (train_part, dev_part) in enumerate(calls):
+            lo, hi = spans[(f + 1) % 4]
+            assert [id(s) for s in dev_part] == [id(s) for s in corpus[lo:hi]]
+            assert not {id(s) for s in train_part} & {id(s) for s in dev_part}
+            assert trained_on[f] == tuple(g for g in range(4) if g not in (f, (f + 1) % 4))
+            assert [id(s) for s in train_part] == \
+                [id(s) for g in trained_on[f] for s in corpus[slice(*spans[g])]]
+
     def test_small_corpus_rejected(self, corpus):
         cfg = TrainConfig(mode="supertagger", folds=2)
         with pytest.raises(ValueError):
             jackknife(corpus[:1], cfg, tiny_enc(), tiny_heads())
         with pytest.raises(ValueError):
             jackknife(corpus, cfg, tiny_enc(), tiny_heads(), k=1)
+        with pytest.raises(ValueError, match="k >= 3"):
+            jackknife(corpus, cfg, tiny_enc(), tiny_heads())
 
 
 class TestShuffleStags:
