@@ -28,6 +28,7 @@ __all__ = [
     "concat",
     "slice_axis",
     "sigmoid",
+    "sigmoid_array",
     "tanh",
     "relu",
     "exp",
@@ -228,15 +229,19 @@ def slice_axis(a: Tensor, axis: int, start: int, stop: int) -> Tensor:
     return Tensor(out, parents=(a,), op="slice", backward=bwd)
 
 
+def sigmoid_array(x: np.ndarray) -> np.ndarray:
+    """Logistic function of a numpy array, the one every sigmoid here uses.
+
+    The sign-split form 1/(1+e^-x) for x >= 0 and e^x/(1+e^x) below never
+    exponentiates a positive argument, so it cannot overflow.
+    """
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+
+
 def sigmoid(a: Tensor) -> Tensor:
     a = as_tensor(a)
-    x = a.value
-    # sign-split form never exponentiates a positive argument
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    out = sigmoid_array(a.value)
 
     def bwd(g):
         return (g * out * (1.0 - out),)

@@ -7,6 +7,13 @@ and a linear transform of the input:
     r_t = sigmoid(W_r [x_t ; h_prev] + b_r)
     h_t = r_t * o_t * tanh(c_t) + (1 - r_t) * W_h x_t
 
+Each direction of each layer is one op on the autodiff tape, `lstm_layer`,
+with a hand-written backpropagation-through-time backward. It stacks the
+gate parameters at call time in the fixed order i, f, c, o, then r with the
+highway output, so checkpoints keep one tensor per gate
+(`lstm.{layer}.{fw|bw}.W_i`, `.b_i`, ..., `.W_h`) and the tape grows with
+the number of layers, not with sentence length.
+
 Both directions of every layer are concatenated before feeding the next
 layer; a `final_concat_only` flag reproduces the older wiring where each
 direction sees only its own stream until the top.
@@ -33,7 +40,7 @@ __all__ = [
     "init_lstm_params",
     "init_encoder_params",
     "char_cnn",
-    "lstm_cell",
+    "lstm_layer",
     "bilstm_stack",
     "make_dropout_masks",
     "MODE_POS",
@@ -167,11 +174,6 @@ def init_encoder_params(rng, vocab: Vocabulary, config: EncoderConfig, mode: str
     return params
 
 
-def _linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
-    out = ad.matmul(x, ad.transpose(w))
-    return out if b is None else ad.add(out, b)
-
-
 def char_cnn(char_ids, char_emb: Tensor, filters: Tensor, bias: Tensor,
              pad_id: int = 0) -> Tensor:
     """Character vector for one word: embed -> width-w conv -> max over time.
@@ -187,27 +189,6 @@ def char_cnn(char_ids, char_emb: Tensor, filters: Tensor, bias: Tensor,
     emb = ad.embedding_lookup(char_emb, np.array(pad + ids + pad, dtype=np.int64))
     conv = ad.add(ad.conv1d(emb, filters), bias)
     return ad.max_over_axis(conv, axis=0)
-
-
-def lstm_cell(x_t: Tensor, h_prev: Tensor, c_prev: Tensor, p: dict, prefix: str = ""):
-    """One step over [B, d] rows: returns (h_t, c_t).
-
-    The output is the highway mix when `p` holds `{prefix}W_r`, which
-    `init_lstm_params` adds exactly when `config.highway` is on; the cell
-    state update is the same either way.
-    """
-    cat = ad.concat([x_t, h_prev], axis=1)
-    i = ad.sigmoid(_linear(cat, p[f"{prefix}W_i"], p[f"{prefix}b_i"]))
-    f = ad.sigmoid(_linear(cat, p[f"{prefix}W_f"], p[f"{prefix}b_f"]))
-    c_tilde = ad.tanh(_linear(cat, p[f"{prefix}W_c"], p[f"{prefix}b_c"]))
-    o = ad.sigmoid(_linear(cat, p[f"{prefix}W_o"], p[f"{prefix}b_o"]))
-    c = ad.add(ad.mul(f, c_prev), ad.mul(i, c_tilde))
-    h = ad.mul(o, ad.tanh(c))
-    if f"{prefix}W_r" in p:
-        r = ad.sigmoid(_linear(cat, p[f"{prefix}W_r"], p[f"{prefix}b_r"]))
-        bypass = ad.mul(ad.add(Tensor(1.0), ad.neg(r)), _linear(x_t, p[f"{prefix}W_h"]))
-        h = ad.add(ad.mul(r, h), bypass)
-    return h, c
 
 
 def make_dropout_masks(rng: np.random.Generator, config: EncoderConfig, batch: int,
@@ -232,6 +213,102 @@ def make_dropout_masks(rng: np.random.Generator, config: EncoderConfig, batch: i
     return masks
 
 
+GATES = ("i", "f", "c", "o")  # row order of the stacked gates; "r" follows with highway
+
+
+def lstm_layer(xs: Tensor, params: dict, prefix: str, hidden: int,
+               rec_mask=None, reverse: bool = False) -> Tensor:
+    """One direction of one layer over [B, T, d] inputs, as one tape node.
+
+    The gate parameters `{prefix}.W_g` and `{prefix}.b_g` are stacked at call
+    time in the order of GATES, then r when `{prefix}.W_r` is present (as
+    `init_lstm_params` decides from `config.highway`), so the op sees one
+    W [G*H, d+H] and one b [G*H]; `ad.concat` splits their gradients back
+    per gate. The input projection of every timestep is one matmul, each
+    step one recurrent matmul of the masked h_prev, and the backward is a
+    hand-written BPTT sweep over the cached gate activations and cell
+    states. Returns h_t for every t as [B, T, H]; `reverse` runs from t=T-1.
+    """
+    highway = f"{prefix}.W_r" in params
+    gates = GATES + ("r",) if highway else GATES
+    w = ad.concat([params[f"{prefix}.W_{g}"] for g in gates], axis=0)
+    b = ad.concat([params[f"{prefix}.b_{g}"] for g in gates], axis=0)
+    w_h = params[f"{prefix}.W_h"] if highway else None
+    batch, seq_len, in_dim = xs.shape
+    if w.shape[1] != in_dim + hidden:
+        raise ad.ShapeError(f"lstm_layer: {prefix} gates of shape {w.shape} do not take"
+                            f" inputs of width {in_dim} and {hidden} hidden units")
+    if rec_mask is not None:
+        rec_mask = np.asarray(rec_mask, dtype=np.float64)
+    w_x, w_rec = w.value[:, :in_dim], w.value[:, in_dim:]
+    # time-major rows: row t*B + n is token t of sentence n
+    x = np.ascontiguousarray(xs.value.transpose(1, 0, 2)).reshape(seq_len * batch, in_dim)
+    pre = (x @ w_x.T + b.value).reshape(seq_len, batch, -1)
+    proj = (x @ w_h.value.T).reshape(seq_len, batch, hidden) if highway else None
+    acts = np.empty_like(pre)                  # activated gates
+    tanh_c = np.empty((seq_len, batch, hidden))
+    h_ins = np.empty((seq_len, batch, hidden))    # masked recurrent inputs
+    hs = np.empty((seq_len, batch, hidden))
+    # cells[t + put] holds c_t, and cells[t + get] the c_prev of step t
+    cells = np.zeros((seq_len + 1, batch, hidden))
+    put, get = (0, 1) if reverse else (1, 0)
+    steps = range(seq_len - 1, -1, -1) if reverse else range(seq_len)
+    h = np.zeros((batch, hidden))
+    for t in steps:
+        h_ins[t] = h if rec_mask is None else h * rec_mask
+        z = pre[t] + h_ins[t] @ w_rec.T
+        a = acts[t]
+        a[:, : 2 * hidden] = ad.sigmoid_array(z[:, : 2 * hidden])
+        a[:, 2 * hidden : 3 * hidden] = np.tanh(z[:, 2 * hidden : 3 * hidden])
+        a[:, 3 * hidden :] = ad.sigmoid_array(z[:, 3 * hidden :])
+        i, f, c_tilde, o = (a[:, k * hidden : (k + 1) * hidden] for k in range(4))
+        c = cells[t + put] = f * cells[t + get] + i * c_tilde
+        tanh_c[t] = np.tanh(c)
+        h = o * tanh_c[t]
+        if highway:
+            r = a[:, 4 * hidden :]
+            h = r * h + (1.0 - r) * proj[t]
+        hs[t] = h
+
+    def bwd(g):
+        g = g.transpose(1, 0, 2)
+        dz = np.empty_like(acts)
+        dproj = np.empty_like(tanh_c) if highway else None
+        dh_rec = np.zeros((batch, hidden))  # d loss / d h_t through step t+1's h_prev
+        dc = np.zeros((batch, hidden))
+        for t in reversed(steps):
+            a, d = acts[t], dz[t]
+            i, f, c_tilde, o = (a[:, k * hidden : (k + 1) * hidden] for k in range(4))
+            dh = g[t] + dh_rec
+            if highway:
+                r = a[:, 4 * hidden :]
+                d[:, 4 * hidden :] = dh * (o * tanh_c[t] - proj[t]) * r * (1.0 - r)
+                dproj[t] = dh * (1.0 - r)
+                dh = dh * r
+            dc = dc + dh * o * (1.0 - tanh_c[t] * tanh_c[t])
+            d[:, :hidden] = dc * c_tilde * i * (1.0 - i)
+            d[:, hidden : 2 * hidden] = dc * cells[t + get] * f * (1.0 - f)
+            d[:, 2 * hidden : 3 * hidden] = dc * i * (1.0 - c_tilde * c_tilde)
+            d[:, 3 * hidden : 4 * hidden] = dh * tanh_c[t] * o * (1.0 - o)
+            dc = dc * f
+            dh_rec = d @ w_rec
+            if rec_mask is not None:
+                dh_rec *= rec_mask
+        flat = dz.reshape(seq_len * batch, -1)
+        dw = np.concatenate([flat.T @ x, flat.T @ h_ins.reshape(seq_len * batch, hidden)], axis=1)
+        dx = flat @ w_x
+        grads = (dw, flat.sum(axis=0))
+        if highway:
+            dp = dproj.reshape(seq_len * batch, hidden)
+            dx += dp @ w_h.value
+            grads += (dp.T @ x,)
+        return (dx.reshape(seq_len, batch, in_dim).transpose(1, 0, 2),) + grads
+
+    parents = (xs, w, b) + ((w_h,) if highway else ())
+    out = np.ascontiguousarray(hs.transpose(1, 0, 2))
+    return Tensor(out, parents=parents, op="lstm_layer", backward=bwd)
+
+
 def bilstm_stack(inputs: Tensor, params: dict, config: EncoderConfig,
                  masks: dict | None = None) -> Tensor:
     """Run the stack over [B, T, d] inputs; returns [B, T, 2*hidden]."""
@@ -246,20 +323,12 @@ def bilstm_stack(inputs: Tensor, params: dict, config: EncoderConfig,
     in_fw = in_bw = inputs
     layer_out = None
     for layer in range(config.layers):
-        outs = {}
-        for direction, stream in (("fw", in_fw), ("bw", in_bw)):
-            prefix = f"lstm.{layer}.{direction}."
-            h = Tensor(np.zeros((batch, config.hidden)))
-            c = Tensor(np.zeros((batch, config.hidden)))
-            rec_mask = masks.get(("rec", layer, direction))
-            steps = range(seq_len) if direction == "fw" else range(seq_len - 1, -1, -1)
-            collected = [None] * seq_len
-            for t in steps:
-                x_t = ad.reshape(ad.slice_axis(stream, 1, t, t + 1), (batch, -1))
-                h_in = ad.dropout_with_mask(h, rec_mask) if rec_mask is not None else h
-                h, c = lstm_cell(x_t, h_in, c, params, prefix)
-                collected[t] = ad.reshape(h, (batch, 1, config.hidden))
-            outs[direction] = ad.concat(collected, axis=1)
+        outs = {
+            direction: lstm_layer(stream, params, f"lstm.{layer}.{direction}", config.hidden,
+                                  masks.get(("rec", layer, direction)),
+                                  reverse=direction == "bw")
+            for direction, stream in (("fw", in_fw), ("bw", in_bw))
+        }
         layer_out = ad.concat([outs["fw"], outs["bw"]], axis=2)
         if layer < config.layers - 1:
             layer_mask = masks.get(("layer", layer))
@@ -274,4 +343,3 @@ def bilstm_stack(inputs: Tensor, params: dict, config: EncoderConfig,
                     nxt = ad.dropout_with_mask(nxt, layer_mask)
                 in_fw = in_bw = nxt
     return layer_out
-

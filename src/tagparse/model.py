@@ -7,7 +7,7 @@ modes see T+1 with the zero ROOT row at index 0.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -16,6 +16,7 @@ from .autodiff import Tensor
 from .corpus import Sentence
 from .decoder import ScoreMatrix, assign_labels, chu_liu_edmonds, enforce_tree, greedy_heads
 from .encoder import (
+    ALL_MODES,
     MODE_JOINT_POS_STAG,
     MODE_JOINT_STAG,
     MODE_POS,
@@ -269,15 +270,14 @@ class Model:
     def load(cls, path) -> "Model":
         """Read a checkpoint written by `save`.
 
-        Raises FormatError, naming the first mismatch, unless the tensors are
-        exactly the parameters (names and shapes) that `__init__` builds for
-        the stored mode and configs.
+        Raises FormatError, naming the first mismatch, unless the metadata
+        holds a vocabulary, a known mode and well-typed configs, and the
+        tensors are exactly the parameters (names and shapes) that
+        `__init__` builds for them.
         """
         tensors, meta = load_tensors(path)
         # __init__ lays out the expected parameters; their random values are replaced below
-        model = cls(Vocabulary.from_json(meta["vocab"]), meta["mode"],
-                    EncoderConfig(**meta["encoder"]), HeadConfig(**meta["heads"]),
-                    np.random.default_rng(0))
+        model = cls(*_read_meta(path, meta), np.random.default_rng(0))
         for name, param in model.params.items():
             if name not in tensors:
                 raise FormatError(f"{path}: missing tensor {name!r}")
@@ -289,3 +289,46 @@ class Model:
             raise FormatError(f"{path}: unexpected tensor {extra[0]!r}")
         model.params = {name: ad.parameter(tensors[name]) for name in model.params}
         return model
+
+
+# the JSON values a config field of each annotated type accepts; bool is checked apart,
+# since True and False are ints to isinstance
+_FIELD_TYPES = {"int": int, "float": (int, float), "bool": bool}
+
+
+def _read_config(path, meta: dict, key: str, cls):
+    """The config dataclass `cls` from `meta[key]`; FormatError names the bad field."""
+    values = meta[key]
+    if not isinstance(values, dict):
+        raise FormatError(f"{path}: metadata {key!r} is {type(values).__name__}, not an object")
+    types = {f.name: f.type for f in fields(cls)}
+    for name, value in values.items():
+        if name not in types:
+            raise FormatError(f"{path}: metadata {key!r} has unknown field {name!r}")
+        kind = types[name]
+        is_bool = isinstance(value, bool)
+        if is_bool != (kind == "bool") or not isinstance(value, _FIELD_TYPES[kind]):
+            raise FormatError(f"{path}: metadata {key!r} field {name!r} is {value!r},"
+                              f" expected {kind}")
+    try:
+        return cls(**values)
+    except ValueError as e:  # __post_init__ range checks
+        raise FormatError(f"{path}: metadata {key!r}: {e}") from None
+
+
+def _read_meta(path, meta) -> tuple:
+    """(vocab, mode, encoder config, head config) of a checkpoint's metadata."""
+    if not isinstance(meta, dict):
+        raise FormatError(f"{path}: metadata is {type(meta).__name__}, not an object")
+    for key in ("vocab", "mode", "encoder", "heads"):
+        if key not in meta:
+            raise FormatError(f"{path}: metadata lacks {key!r}")
+    if meta["mode"] not in ALL_MODES:
+        raise FormatError(f"{path}: metadata 'mode' is {meta['mode']!r},"
+                          f" expected one of {ALL_MODES}")
+    try:
+        vocab = Vocabulary.from_json(meta["vocab"])
+    except (AttributeError, KeyError, TypeError, ValueError) as e:
+        raise FormatError(f"{path}: metadata 'vocab' is malformed: {e!r}") from None
+    return (vocab, meta["mode"], _read_config(path, meta, "encoder", EncoderConfig),
+            _read_config(path, meta, "heads", HeadConfig))

@@ -1,4 +1,5 @@
-"""Per-token reference paths that the batched code in src/ is checked against."""
+"""Per-token and per-step reference paths that the fused and batched code in
+src/ is checked against."""
 
 import numpy as np
 
@@ -44,3 +45,67 @@ def encode_tokens(sentence, mode: str, params: dict, vocab, config) -> Tensor:
         root = Tensor(np.zeros((1, mat.shape[1])))
         mat = ad.concat([root, mat], axis=0)
     return mat
+
+
+def _linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
+    out = ad.matmul(x, ad.transpose(w))
+    return out if b is None else ad.add(out, b)
+
+
+def lstm_cell(x_t: Tensor, h_prev: Tensor, c_prev: Tensor, p: dict, prefix: str = ""):
+    """One step over [B, d] rows on the tape: returns (h_t, c_t).
+
+    The output is the highway mix when `p` holds `{prefix}W_r`; the cell
+    state update is the same either way.
+    """
+    cat = ad.concat([x_t, h_prev], axis=1)
+    i = ad.sigmoid(_linear(cat, p[f"{prefix}W_i"], p[f"{prefix}b_i"]))
+    f = ad.sigmoid(_linear(cat, p[f"{prefix}W_f"], p[f"{prefix}b_f"]))
+    c_tilde = ad.tanh(_linear(cat, p[f"{prefix}W_c"], p[f"{prefix}b_c"]))
+    o = ad.sigmoid(_linear(cat, p[f"{prefix}W_o"], p[f"{prefix}b_o"]))
+    c = ad.add(ad.mul(f, c_prev), ad.mul(i, c_tilde))
+    h = ad.mul(o, ad.tanh(c))
+    if f"{prefix}W_r" in p:
+        r = ad.sigmoid(_linear(cat, p[f"{prefix}W_r"], p[f"{prefix}b_r"]))
+        bypass = ad.mul(ad.add(Tensor(1.0), ad.neg(r)), _linear(x_t, p[f"{prefix}W_h"]))
+        h = ad.add(ad.mul(r, h), bypass)
+    return h, c
+
+
+def stepwise_bilstm_stack(inputs: Tensor, params: dict, config, masks: dict | None = None):
+    """`bilstm_stack` as a loop of `lstm_cell` steps, about 30 tape nodes each."""
+    batch, seq_len, _ = inputs.shape
+    masks = masks or {}
+    if "input" in masks:
+        inputs = ad.dropout_with_mask(inputs, masks["input"])
+    in_fw = in_bw = inputs
+    layer_out = None
+    for layer in range(config.layers):
+        outs = {}
+        for direction, stream in (("fw", in_fw), ("bw", in_bw)):
+            prefix = f"lstm.{layer}.{direction}."
+            h = Tensor(np.zeros((batch, config.hidden)))
+            c = Tensor(np.zeros((batch, config.hidden)))
+            rec_mask = masks.get(("rec", layer, direction))
+            steps = range(seq_len) if direction == "fw" else range(seq_len - 1, -1, -1)
+            collected = [None] * seq_len
+            for t in steps:
+                x_t = ad.reshape(ad.slice_axis(stream, 1, t, t + 1), (batch, -1))
+                h_in = ad.dropout_with_mask(h, rec_mask) if rec_mask is not None else h
+                h, c = lstm_cell(x_t, h_in, c, params, prefix)
+                collected[t] = ad.reshape(h, (batch, 1, config.hidden))
+            outs[direction] = ad.concat(collected, axis=1)
+        layer_out = ad.concat([outs["fw"], outs["bw"]], axis=2)
+        if layer < config.layers - 1:
+            layer_mask = masks.get(("layer", layer))
+            if config.final_concat_only:
+                in_fw, in_bw = outs["fw"], outs["bw"]
+                if layer_mask is not None:
+                    in_fw = ad.dropout_with_mask(in_fw, layer_mask)
+                    in_bw = ad.dropout_with_mask(in_bw, layer_mask)
+            else:
+                nxt = layer_out
+                if layer_mask is not None:
+                    nxt = ad.dropout_with_mask(nxt, layer_mask)
+                in_fw = in_bw = nxt
+    return layer_out

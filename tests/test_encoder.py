@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import numeric_grad, rel_err
-from reference import encode_tokens
+from reference import encode_tokens, lstm_cell, stepwise_bilstm_stack
 
 import tagparse.autodiff as ad
 from tagparse.autodiff import Tensor
@@ -14,7 +14,6 @@ from tagparse.encoder import (
     bilstm_stack,
     char_cnn,
     init_encoder_params,
-    lstm_cell,
     make_dropout_masks,
     parser_config,
     supertagger_config,
@@ -295,36 +294,100 @@ class TestBilstmStack:
             single = run_stack(x[b], params, config)
             np.testing.assert_allclose(batched[b], single, atol=1e-12)
 
-    def test_gradient_through_two_layer_highway_stack(self):
+    @pytest.mark.parametrize("rec_masks", [False, True], ids=["no-masks", "rec-masks"])
+    @pytest.mark.parametrize("name", ["W_i", "b_i", "W_f", "b_f", "W_c", "b_c", "W_o", "b_o",
+                                      "W_r", "b_r", "W_h"])
+    def test_gradient_through_two_layer_highway_stack(self, name, rec_masks):
         config = EncoderConfig(hidden=3, layers=2, highway=True, dropout_input=0,
-                               dropout_layer=0, dropout_recurrent=0)
+                               dropout_layer=0, dropout_recurrent=0.5)
         rng = np.random.default_rng(18)
         params = stack_params(rng, config, 3)
-        x0 = rng.normal(size=(1, 4, 3))
-        weights = rng.normal(size=(1, 4, 6))
+        x0 = rng.normal(size=(2, 4, 3))
+        weights = rng.normal(size=(2, 4, 6))
+        masks = None
+        if rec_masks:
+            masks = {k: v for k, v in make_dropout_masks(rng, config, 2, 4, 3).items()
+                     if k[0] == "rec"}
 
         def f(xv):
-            out = bilstm_stack(Tensor(xv), params, config)
+            out = bilstm_stack(Tensor(xv), params, config, masks)
             return float(ad.reduce_sum(ad.mul(out, Tensor(weights))).value)
 
         x = ad.parameter(x0)
-        ad.backward(ad.reduce_sum(ad.mul(bilstm_stack(x, params, config), Tensor(weights))))
+        out = bilstm_stack(x, params, config, masks)
+        ad.backward(ad.reduce_sum(ad.mul(out, Tensor(weights))))
         assert rel_err(x.grad, numeric_grad(f, x0)) < 1e-5
-        # spot-check one weight matrix as well
-        w = params["lstm.1.fw.W_r"]
-        w0 = w.value.copy()
+        for prefix in ("lstm.0.fw", "lstm.0.bw", "lstm.1.fw", "lstm.1.bw"):
+            w = params[f"{prefix}.{name}"]
+            w0 = w.value.copy()
 
-        def fw(wv):
-            w.value[...] = wv
-            out = f(x0)
-            w.value[...] = w0
-            return out
+            def fw(wv):
+                w.value[...] = wv
+                out = f(x0)
+                w.value[...] = w0
+                return out
 
-        assert rel_err(w.grad, numeric_grad(fw, w0)) < 1e-5
+            assert rel_err(w.grad, numeric_grad(fw, w0)) < 1e-5, prefix
+
+    def test_tape_size_does_not_grow_with_length(self):
+        config = EncoderConfig(hidden=4, layers=2, highway=True, dropout_input=0.5,
+                               dropout_layer=0.5, dropout_recurrent=0.5)
+        rng = np.random.default_rng(19)
+        params = stack_params(rng, config, 3)
+
+        def tape_nodes(seq_len):
+            masks = make_dropout_masks(rng, config, 2, seq_len, 3)
+            out = bilstm_stack(Tensor(rng.normal(size=(2, seq_len, 3))), params, config, masks)
+            seen, stack = {id(out)}, [out]
+            while stack:
+                for parent in stack.pop().parents:
+                    if id(parent) not in seen:
+                        seen.add(id(parent))
+                        stack.append(parent)
+            return len(seen)
+
+        assert tape_nodes(3) == tape_nodes(30)
+
+    def test_input_width_mismatch_names_the_layer(self):
+        config = EncoderConfig(hidden=4, layers=1, dropout_input=0, dropout_layer=0,
+                               dropout_recurrent=0)
+        params = stack_params(np.random.default_rng(21), config, 3)
+        with pytest.raises(ad.ShapeError, match="lstm.0.fw"):
+            bilstm_stack(Tensor(np.zeros((1, 2, 5))), params, config)
 
     def test_zero_layers_rejected(self):
         with pytest.raises(ValueError):
             EncoderConfig(hidden=4, layers=0)
+
+
+@pytest.mark.parametrize("masked", [False, True], ids=["no-masks", "masks"])
+@pytest.mark.parametrize("seq_len", [1, 7])
+@pytest.mark.parametrize("layers", [1, 2])
+@pytest.mark.parametrize("final_concat_only", [False, True], ids=["concat", "final-concat"])
+@pytest.mark.parametrize("highway", [False, True], ids=["lstm", "highway"])
+def test_fused_stack_matches_stepwise_oracle(highway, final_concat_only, layers, seq_len,
+                                             masked):
+    config = EncoderConfig(hidden=4, layers=layers, highway=highway,
+                           final_concat_only=final_concat_only, dropout_input=0.3,
+                           dropout_layer=0.3, dropout_recurrent=0.3)
+    rng = np.random.default_rng(20)
+    params = stack_params(rng, config, 3)
+    x0 = rng.normal(size=(3, seq_len, 3))
+    weights = Tensor(rng.normal(size=(3, seq_len, 8)))
+    masks = make_dropout_masks(rng, config, 3, seq_len, 3) if masked else None
+    results = []
+    for stack in (bilstm_stack, stepwise_bilstm_stack):
+        x = ad.parameter(x0)
+        out = stack(x, params, config, masks)
+        grads = ad.gradients(ad.reduce_sum(ad.mul(out, weights)), params)
+        results.append((out.value, x.grad, grads))
+    (out, dx, grads), (want_out, want_dx, want_grads) = results
+    np.testing.assert_allclose(out, want_out, atol=1e-12, rtol=0)
+    np.testing.assert_allclose(dx, want_dx, atol=1e-12, rtol=0)
+    assert grads.keys() == want_grads.keys()
+    for name in grads:
+        np.testing.assert_allclose(grads[name], want_grads[name], atol=1e-12, rtol=0,
+                                   err_msg=name)
 
 
 def sentence(words, pos=None, stags=None):

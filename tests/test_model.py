@@ -155,6 +155,35 @@ def test_load_rejects_tensors_that_do_not_fit_the_config(tmp_path, joint_model, 
         Model.load(path)
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda m: m.pop("vocab"), "metadata lacks 'vocab'"),
+    (lambda m: m.pop("mode"), "metadata lacks 'mode'"),
+    (lambda m: m.pop("encoder"), "metadata lacks 'encoder'"),
+    (lambda m: m.pop("heads"), "metadata lacks 'heads'"),
+    (lambda m: m.update(mode="nope"), "metadata 'mode' is 'nope'"),
+    (lambda m: m["encoder"].update(bogus=1), "'encoder' has unknown field 'bogus'"),
+    (lambda m: m["heads"].update(hidden=7), "'heads' has unknown field 'hidden'"),
+    (lambda m: m["encoder"].update(hidden="7"), "'encoder' field 'hidden' is '7', expected int"),
+    (lambda m: m["encoder"].update(hidden=7.0), "'encoder' field 'hidden' is 7.0, expected int"),
+    (lambda m: m["encoder"].update(layers=True), "'encoder' field 'layers' is True"),
+    (lambda m: m["encoder"].update(highway=1), "'encoder' field 'highway' is 1, expected bool"),
+    (lambda m: m["heads"].update(mlp_dropout=None), "'heads' field 'mlp_dropout' is None"),
+    (lambda m: m["heads"].update(d_arc=0), "'heads': HeadConfig.d_arc must be positive"),
+    (lambda m: m.update(encoder=[]), "metadata 'encoder' is list, not an object"),
+    (lambda m: m.update(vocab="{}"), "metadata 'vocab' is malformed"),
+], ids=["no-vocab", "no-mode", "no-encoder", "no-heads", "mode", "encoder-field",
+        "heads-field", "str-int", "float-int", "bool-int", "int-bool", "none-float",
+        "range", "not-object", "vocab"])
+def test_load_rejects_bad_metadata(tmp_path, joint_model, edit, message):
+    path = tmp_path / "model.tpt"
+    joint_model.save(path)
+    tensors, meta = load_tensors(path)
+    edit(meta)
+    save_tensors(path, tensors, meta)
+    with pytest.raises(FormatError, match=message):
+        Model.load(path)
+
+
 def test_supertagger_mode_only_fills_stags(corpus):
     vocab = Vocabulary.from_corpus(corpus)
     model = Model(vocab, "supertagger", tiny_enc(), tiny_heads(),
