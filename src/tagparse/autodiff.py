@@ -21,17 +21,13 @@ __all__ = [
     "parameter",
     "add",
     "mul",
-    "neg",
     "matmul",
     "transpose",
     "reshape",
     "concat",
     "slice_axis",
-    "sigmoid",
     "sigmoid_array",
-    "tanh",
     "relu",
-    "exp",
     "max_over_axis",
     "embedding_lookup",
     "conv1d",
@@ -39,7 +35,6 @@ __all__ = [
     "softmax",
     "cross_entropy_with_logits",
     "reduce_sum",
-    "reduce_mean",
     "backward",
     "gradients",
     "zero_grads",
@@ -67,40 +62,8 @@ class Tensor:
     def shape(self):
         return self.value.shape
 
-    @property
-    def size(self):
-        return self.value.size
-
-    def item(self):
-        return float(self.value)
-
     def __repr__(self):
         return f"Tensor(op={self.op!r}, shape={self.value.shape})"
-
-    # operator sugar; scalars and ndarrays are wrapped as constants
-    def __add__(self, other):
-        return add(self, as_tensor(other))
-
-    def __radd__(self, other):
-        return add(as_tensor(other), self)
-
-    def __sub__(self, other):
-        return add(self, neg(as_tensor(other)))
-
-    def __rsub__(self, other):
-        return add(as_tensor(other), neg(self))
-
-    def __mul__(self, other):
-        return mul(self, as_tensor(other))
-
-    def __rmul__(self, other):
-        return mul(as_tensor(other), self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, as_tensor(other))
 
 
 def as_tensor(x) -> Tensor:
@@ -151,19 +114,17 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return Tensor(out, parents=(a, b), op="mul", backward=bwd)
 
 
-def neg(a: Tensor) -> Tensor:
-    a = as_tensor(a)
-    return Tensor(-a.value, parents=(a,), op="neg", backward=lambda g: (-g,))
-
-
 def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """[n, k] @ [k, m], or [B, n, k] @ [B, k, m] with equal leading dimensions."""
     a, b = as_tensor(a), as_tensor(b)
-    if a.value.ndim != 2 or b.value.ndim != 2 or a.shape[1] != b.shape[0]:
+    ndim = a.value.ndim
+    if (ndim not in (2, 3) or b.value.ndim != ndim or a.shape[-1] != b.shape[-2]
+            or a.shape[:-2] != b.shape[:-2]):
         raise ShapeError(f"matmul: shapes {a.shape} and {b.shape} do not conform")
     out = a.value @ b.value
 
     def bwd(g):
-        return g @ b.value.T, a.value.T @ g
+        return g @ np.swapaxes(b.value, -1, -2), np.swapaxes(a.value, -1, -2) @ g
 
     return Tensor(out, parents=(a, b), op="matmul", backward=bwd)
 
@@ -230,33 +191,13 @@ def slice_axis(a: Tensor, axis: int, start: int, stop: int) -> Tensor:
 
 
 def sigmoid_array(x: np.ndarray) -> np.ndarray:
-    """Logistic function of a numpy array, the one every sigmoid here uses.
+    """Logistic function of a numpy array, the one every sigmoid uses.
 
     The sign-split form 1/(1+e^-x) for x >= 0 and e^x/(1+e^x) below never
     exponentiates a positive argument, so it cannot overflow.
     """
     e = np.exp(-np.abs(x))
     return np.where(x >= 0, 1.0, e) / (1.0 + e)
-
-
-def sigmoid(a: Tensor) -> Tensor:
-    a = as_tensor(a)
-    out = sigmoid_array(a.value)
-
-    def bwd(g):
-        return (g * out * (1.0 - out),)
-
-    return Tensor(out, parents=(a,), op="sigmoid", backward=bwd)
-
-
-def tanh(a: Tensor) -> Tensor:
-    a = as_tensor(a)
-    out = np.tanh(a.value)
-
-    def bwd(g):
-        return (g * (1.0 - out * out),)
-
-    return Tensor(out, parents=(a,), op="tanh", backward=bwd)
 
 
 def relu(a: Tensor) -> Tensor:
@@ -267,16 +208,6 @@ def relu(a: Tensor) -> Tensor:
         return (g * (a.value > 0.0),)
 
     return Tensor(out, parents=(a,), op="relu", backward=bwd)
-
-
-def exp(a: Tensor) -> Tensor:
-    a = as_tensor(a)
-    out = np.exp(a.value)
-
-    def bwd(g):
-        return (g * out,)
-
-    return Tensor(out, parents=(a,), op="exp", backward=bwd)
 
 
 def max_over_axis(a: Tensor, axis: int) -> Tensor:
@@ -312,27 +243,32 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
 
 
 def conv1d(x: Tensor, filters: Tensor) -> Tensor:
-    """Valid 1-D convolution: x [T, Cin], filters [W, Cin, Cout] -> [T-W+1, Cout].
+    """Valid 1-D convolution: x [..., T, Cin], filters [W, Cin, Cout] -> [..., T-W+1, Cout].
 
-    Any padding is the caller's responsibility.
+    Leading dimensions of x are a batch of independent sequences. Any
+    padding is the caller's responsibility.
     """
     x, filters = as_tensor(x), as_tensor(filters)
-    if x.value.ndim != 2 or filters.value.ndim != 3 or x.shape[1] != filters.shape[1]:
+    if x.value.ndim < 2 or filters.value.ndim != 3 or x.shape[-1] != filters.shape[1]:
         raise ShapeError(f"conv1d: shapes {x.shape} and {filters.shape} do not conform")
-    width = filters.shape[0]
-    t_out = x.shape[0] - width + 1
+    width, c_in = filters.shape[0], x.shape[-1]
+    t_out = x.shape[-2] - width + 1
     if t_out < 1:
         raise ShapeError(f"conv1d: input {x.shape} shorter than filter width {width}")
-    fmat = filters.value.reshape(width * x.shape[1], -1)
-    windows = np.stack([x.value[w : w + t_out] for w in range(width)], axis=1)
-    out = windows.reshape(t_out, -1) @ fmat
+    lead = x.shape[:-2]
+    fmat = filters.value.reshape(width * c_in, -1)
+    # [..., t_out, W, Cin] -> one row per output position
+    windows = np.stack([x.value[..., w : w + t_out, :] for w in range(width)], axis=-2)
+    rows = windows.reshape(-1, width * c_in)
+    out = (rows @ fmat).reshape(lead + (t_out, fmat.shape[1]))
 
     def bwd(g):
-        gw = (g @ fmat.T).reshape(t_out, width, x.shape[1])
+        g = g.reshape(-1, fmat.shape[1])
+        gw = (g @ fmat.T).reshape(lead + (t_out, width, c_in))
         gx = np.zeros_like(x.value)
         for w in range(width):
-            gx[w : w + t_out] += gw[:, w, :]
-        gf = (windows.reshape(t_out, -1).T @ g).reshape(filters.shape)
+            gx[..., w : w + t_out, :] += gw[..., w, :]
+        gf = (rows.T @ g).reshape(filters.shape)
         return gx, gf
 
     return Tensor(out, parents=(x, filters), op="conv1d", backward=bwd)
@@ -400,12 +336,6 @@ def reduce_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
         return (np.broadcast_to(gg, a.shape).copy(),)
 
     return Tensor(out, parents=(a,), op="sum", backward=bwd)
-
-
-def reduce_mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    a = as_tensor(a)
-    n = a.size if axis is None else a.shape[axis]
-    return mul(reduce_sum(a, axis=axis, keepdims=keepdims), Tensor(1.0 / n, op="const"))
 
 
 def _toposort(root: Tensor) -> list:

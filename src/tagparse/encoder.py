@@ -174,21 +174,34 @@ def init_encoder_params(rng, vocab: Vocabulary, config: EncoderConfig, mode: str
     return params
 
 
-def char_cnn(char_ids, char_emb: Tensor, filters: Tensor, bias: Tensor,
+def char_cnn(words, char_emb: Tensor, filters: Tensor, bias: Tensor,
              pad_id: int = 0) -> Tensor:
-    """Character vector for one word: embed -> width-w conv -> max over time.
+    """Character vectors [U, F] of U words: embed -> width-w conv -> max over time.
 
-    The word is padded with (w-1)//2 PAD characters on each side, so the
-    convolution output has one position per character.
+    `words` holds one list of char ids per word. Each word is padded with
+    (w-1)//2 PAD characters on each side, so the convolution has one
+    position per character (one fewer for even w), and right-padded with
+    PAD to the longest word. Positions past a word's last window are set to
+    -inf before the max, so each row is the vector the word gets alone.
     """
-    ids = list(char_ids)
-    if not ids:
+    if not words:
+        raise ValueError("char_cnn: no words")
+    lengths = np.array([len(ids) for ids in words])
+    if lengths.min() == 0:
         raise ValueError("char_cnn: empty word")
     width = filters.shape[0]
-    pad = [(pad_id)] * ((width - 1) // 2)
-    emb = ad.embedding_lookup(char_emb, np.array(pad + ids + pad, dtype=np.int64))
-    conv = ad.add(ad.conv1d(emb, filters), bias)
-    return ad.max_over_axis(conv, axis=0)
+    side = (width - 1) // 2
+    windows = lengths + 2 * side - width + 1  # conv positions of each word
+    if windows.min() < 1:
+        u = int(np.argmin(windows))
+        raise ad.ShapeError(f"char_cnn: word {u} has {lengths[u]} characters,"
+                            f" too few for filter width {width}")
+    ids = np.full((len(words), lengths.max() + 2 * side), pad_id, dtype=np.int64)
+    for u, chars in enumerate(words):
+        ids[u, side : side + len(chars)] = chars
+    conv = ad.add(ad.conv1d(ad.embedding_lookup(char_emb, ids), filters), bias)  # [U, P, F]
+    past_end = np.where(np.arange(conv.shape[1]) >= windows[:, None], -np.inf, 0.0)
+    return ad.max_over_axis(ad.add(conv, past_end[:, :, None]), axis=1)
 
 
 def make_dropout_masks(rng: np.random.Generator, config: EncoderConfig, batch: int,

@@ -4,6 +4,10 @@ Arc scores for dependent i over candidate heads (ROOT at row 0):
 
     s_i = softmax(H_arc_head @ W_arc @ h_i_arc_dep + H_arc_head @ b_arc)
 
+computed for a whole bucket of B sentences of T tokens at once as one
+[B, T, T+1] tensor (Dozat & Manning's batched biaffine): row i-1 of
+sentence b holds dependent i's scores, column 0 is ROOT.
+
 Relation scores for the arc from predicted head p to dependent i:
 
     l_i = softmax(h_p_rel_head^T U h_i_rel_dep
@@ -122,16 +126,21 @@ def head_features(encoded: Tensor, params: dict, mask=None) -> HeadFeatures:
     )
 
 
-def arc_logit_matrix(feats: HeadFeatures, params: dict) -> Tensor:
-    """Arc scores for all dependents at once: row i-1 holds dependent i's
-    scores over the n+1 candidate heads (column 0 = ROOT)."""
-    n_plus_1 = feats.arc_head.shape[0]
-    bilinear = ad.matmul(ad.matmul(feats.arc_head, params["biaffine.W_arc"]),
-                         ad.transpose(feats.arc_dep))  # [heads, deps]
-    head_bias = ad.matmul(feats.arc_head, ad.reshape(params["biaffine.b_arc"], (-1, 1)))
-    all_scores = ad.add(bilinear, head_bias)  # bias is per candidate head
-    deps = ad.slice_axis(all_scores, 1, 1, n_plus_1)
-    return ad.transpose(deps)  # [n, n+1]
+def arc_logit_matrix(arc_dep: Tensor, arc_head: Tensor, params: dict) -> Tensor:
+    """Arc scores [B, T, T+1] of a bucket of B sentences of T tokens.
+
+    `arc_dep` [B, T, d] holds the dependents' rows and `arc_head` [B, T+1, d]
+    the candidate heads', ROOT first; entry [b, i-1, j] scores head j for
+    dependent i of sentence b. One matmul projects every head row through
+    W_arc and one stacked matmul scores every (dependent, head) pair.
+    """
+    batch, n_plus_1, d = arc_head.shape
+    flat = ad.reshape(arc_head, (batch * n_plus_1, d))
+    head_w = ad.reshape(ad.matmul(flat, params["biaffine.W_arc"]), (batch, n_plus_1, d))
+    bilinear = ad.matmul(arc_dep, ad.transpose(head_w, (0, 2, 1)))
+    head_bias = ad.matmul(flat, ad.reshape(params["biaffine.b_arc"], (-1, 1)))
+    # the bias is per candidate head, the same for every dependent
+    return ad.add(bilinear, ad.reshape(head_bias, (batch, 1, n_plus_1)))
 
 
 def label_logits_pairs(dep: Tensor, dep_head_role: Tensor, head: Tensor,
@@ -152,12 +161,13 @@ def label_logits_pairs(dep: Tensor, dep_head_role: Tensor, head: Tensor,
     return ad.add(ad.add(bilinear, affine), ad.reshape(params["rel.b"], (1, -1)))
 
 
-def pos_logits(feats: HeadFeatures, params: dict) -> Tensor:
-    return ad.add(ad.matmul(feats.pos, ad.transpose(params["out.pos.W"])),
+def pos_logits(rows: Tensor, params: dict) -> Tensor:
+    """POS scores [N, n_pos] of N pos-MLP feature rows."""
+    return ad.add(ad.matmul(rows, ad.transpose(params["out.pos.W"])),
                   ad.reshape(params["out.pos.b"], (1, -1)))
 
 
-def stag_logits(feats: HeadFeatures, params: dict) -> Tensor:
-    return ad.add(ad.matmul(feats.stag, ad.transpose(params["out.stag.W"])),
+def stag_logits(rows: Tensor, params: dict) -> Tensor:
+    """Supertag scores [N, n_stags] of N stag-MLP feature rows."""
+    return ad.add(ad.matmul(rows, ad.transpose(params["out.stag.W"])),
                   ad.reshape(params["out.stag.b"], (1, -1)))
-

@@ -1,8 +1,10 @@
 """Full model: encoder + scoring heads for one mode, with save/load.
 
-Forward passes run over buckets of same-length sentences so the LSTM loop
-is shared across the batch. Tagger modes see T rows per sentence; parser
-modes see T+1 with the zero ROOT row at index 0.
+Forward passes run over buckets of B same-length sentences of T tokens,
+and every head gives one tensor per bucket: arc scores [B, T, T+1] (column
+0 = ROOT), and label, POS and supertag scores with one row per token,
+sentence-major. The encoder sees T rows per sentence in tagger modes and
+T+1 in parser modes, with the zero ROOT row at index 0.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .corpus import Sentence
 from .decoder import ScoreMatrix, assign_labels, chu_liu_edmonds, enforce_tree, greedy_heads
 from .encoder import (
     ALL_MODES,
@@ -30,7 +31,6 @@ from .encoder import (
 )
 from .heads import (
     HeadConfig,
-    HeadFeatures,
     arc_logit_matrix,
     head_features,
     init_head_params,
@@ -49,12 +49,21 @@ class BatchOutputs:
     """Per-bucket head outputs, aligned to the sentences that produced them."""
 
     sentences: list
-    arc_logits: list | None = None    # per sentence: Tensor [T, T+1]
-    label_logits: Tensor | None = None  # [total tokens, r], sentence-major order
-    pos_logits: Tensor | None = None    # [total tokens, n_pos]
-    stag_logits: Tensor | None = None   # [total tokens, n_stags]
+    arc_scores: Tensor | None = None    # [B, T, T+1]: [b, i-1, j] scores head j of token i
+    label_logits: Tensor | None = None  # [B*T, r], sentence-major order
+    pos_logits: Tensor | None = None    # [B*T, n_pos]
+    stag_logits: Tensor | None = None   # [B*T, n_stags]
     rel_dep: Tensor | None = None       # projection rows kept for labeling
     rel_head: Tensor | None = None      # decoded arcs at prediction time
+
+    @property
+    def arc_logits(self) -> list | None:
+        """Per-sentence [T, T+1] slices of `arc_scores`, each on the tape."""
+        if self.arc_scores is None:
+            return None
+        batch, seq, cols = self.arc_scores.shape
+        return [ad.reshape(ad.slice_axis(self.arc_scores, 0, b, b + 1), (seq, cols))
+                for b in range(batch)]
 
 
 class Model:
@@ -84,15 +93,9 @@ class Model:
     def _char_table(self, forms: list) -> tuple:
         """Char-CNN vector per unique form; returns (Tensor [U, F], index map)."""
         unique = sorted(set(forms))
-        rows = [
-            ad.reshape(
-                char_cnn(self.vocab.char_ids(f), self.params["emb.char"],
-                         self.params["cnn.filters"], self.params["cnn.bias"]),
-                (1, -1),
-            )
-            for f in unique
-        ]
-        return ad.concat(rows, axis=0), {f: i for i, f in enumerate(unique)}
+        table = char_cnn([self.vocab.char_ids(f) for f in unique], self.params["emb.char"],
+                         self.params["cnn.filters"], self.params["cnn.bias"])
+        return table, {f: i for i, f in enumerate(unique)}
 
     def _input_batch(self, sentences: list) -> Tensor:
         batch = len(sentences)
@@ -146,21 +149,17 @@ class Model:
         out = BatchOutputs(sentences=list(sentences))
         token_rows = self._token_rows(batch, seq)
         if self.mode in PARSER_MODES:
-            out.arc_logits = [
-                arc_logit_matrix(self._sentence_feats(feats, b, rows), self.params)
-                for b in range(batch)
-            ]
+            out.arc_scores = arc_logit_matrix(
+                ad.embedding_lookup(feats.arc_dep, token_rows.reshape(batch, seq)),
+                ad.reshape(feats.arc_head, (batch, rows, -1)), self.params)
             out.rel_dep, out.rel_head = feats.rel_dep, feats.rel_head
-            head_rows = self._head_rows(sentences, rows, rng is not None, out.arc_logits)
+            head_rows = self._head_rows(sentences, rows, rng is not None, out.arc_scores)
             out.label_logits = self._label_logits(out, token_rows, head_rows)
         if self.mode in (MODE_POS, MODE_JOINT_POS_STAG):
-            out.pos_logits = pos_logits(
-                HeadFeatures(pos=ad.embedding_lookup(feats.pos, token_rows)), self.params
-            )
+            out.pos_logits = pos_logits(ad.embedding_lookup(feats.pos, token_rows), self.params)
         if self.mode in (MODE_STAG, MODE_JOINT_STAG, MODE_JOINT_POS_STAG):
-            out.stag_logits = stag_logits(
-                HeadFeatures(stag=ad.embedding_lookup(feats.stag, token_rows)), self.params
-            )
+            out.stag_logits = stag_logits(ad.embedding_lookup(feats.stag, token_rows),
+                                          self.params)
         return out
 
     def _token_rows(self, batch: int, seq: int) -> np.ndarray:
@@ -182,15 +181,7 @@ class Model:
             self.head_config.rel_affine_uses_dep,
         )
 
-    @staticmethod
-    def _sentence_feats(feats: HeadFeatures, b: int, rows: int) -> HeadFeatures:
-        lo, hi = b * rows, (b + 1) * rows
-        return HeadFeatures(
-            arc_dep=ad.slice_axis(feats.arc_dep, 0, lo, hi),
-            arc_head=ad.slice_axis(feats.arc_head, 0, lo, hi),
-        )
-
-    def _head_rows(self, sentences, rows, training, arc_logits) -> np.ndarray:
+    def _head_rows(self, sentences, rows, training, arc_scores) -> np.ndarray:
         """Global feature-row index of each token's head for label scoring.
 
         Training conditions on gold heads when `label_on_gold_heads` is on;
@@ -199,7 +190,7 @@ class Model:
         if training and self.head_config.label_on_gold_heads:
             heads = np.array([[t.head for t in s.tokens] for s in sentences], dtype=np.int64)
         else:
-            heads = np.stack([np.argmax(logits.value, axis=1) for logits in arc_logits])
+            heads = np.argmax(arc_scores.value, axis=2)
         return (np.arange(len(sentences))[:, None] * rows + heads).ravel()
 
     # ----- prediction -----------------------------------------------------
@@ -213,42 +204,39 @@ class Model:
         for _, positions in sorted(by_len.items()):
             bucket = [sentences[p] for p in positions]
             outs = self.forward(bucket)
-            filled = [self._fill_sentence(sent, outs, local) for local, sent in enumerate(bucket)]
+            filled = [sent.copy() for sent in bucket]
+            self._fill_tags(filled, outs)
             if self.mode in PARSER_MODES:
                 self._fill_parse(filled, outs, use_mst)
             for pos, sent in zip(positions, filled):
                 results[pos] = sent
         return results
 
-    def _fill_sentence(self, sent, outs: BatchOutputs, local: int) -> Sentence:
-        filled = sent.copy()
-        seq = len(sent)
-        lo = local * seq
+    def _fill_tags(self, bucket: list, outs: BatchOutputs) -> None:
+        """Argmax POS and supertags of a whole bucket; rows are sentence-major."""
+        tokens = [tok for sent in bucket for tok in sent.tokens]
         if outs.pos_logits is not None:
-            ids = np.argmax(outs.pos_logits.value[lo : lo + seq], axis=1)
-            names = self.vocab._inverse(self.vocab.pos)
-            for tok, pid in zip(filled.tokens, ids):
-                tok.pred_pos = names[int(pid)]
+            names = self.vocab.inverse(self.vocab.pos)
+            for tok, i in zip(tokens, np.argmax(outs.pos_logits.value, axis=1)):
+                tok.pred_pos = names[int(i)]
         if outs.stag_logits is not None:
-            ids = np.argmax(outs.stag_logits.value[lo : lo + seq], axis=1)
-            names = self.vocab._inverse(self.vocab.stags)
-            for tok, sid in zip(filled.tokens, ids):
-                tok.stag = names[int(sid)]
-        return filled
+            names = self.vocab.inverse(self.vocab.stags)
+            for tok, i in zip(tokens, np.argmax(outs.stag_logits.value, axis=1)):
+                tok.stag = names[int(i)]
 
     def _fill_parse(self, bucket: list, outs: BatchOutputs, use_mst: bool) -> None:
         """Decode every sentence of a bucket, then label all decoded arcs at once."""
         seq = len(bucket[0])
         decoded = []
-        for arc_logits in outs.arc_logits:
-            sm = ScoreMatrix.from_distributions(ad.softmax(arc_logits, axis=-1).value)
+        for probs in ad.softmax(outs.arc_scores, axis=-1).value:
+            sm = ScoreMatrix.from_distributions(probs)
             decoded.append(chu_liu_edmonds(sm) if use_mst else enforce_tree(sm, greedy_heads(sm)))
         # labels condition on the final decoded head of each token
         offsets = np.arange(len(bucket))[:, None] * (seq + 1)
         head_rows = (offsets + np.stack(decoded)[:, 1:]).ravel()
         logits = self._label_logits(outs, self._token_rows(len(bucket), seq), head_rows)
         label_probs = ad.softmax(logits, axis=-1).value
-        names = self.vocab._inverse(self.vocab.rels)
+        names = self.vocab.inverse(self.vocab.rels)
         for local, (filled, heads) in enumerate(zip(bucket, decoded)):
             labels = assign_labels(heads, label_probs[local * seq : (local + 1) * seq])
             for i, tok in enumerate(filled.tokens, start=1):

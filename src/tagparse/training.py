@@ -92,11 +92,11 @@ def joint_loss(outputs: BatchOutputs, sentences: list, vocab: Vocabulary,
         raise ValueError("joint_loss: outputs and gold sentences are misaligned")
     parts = []
     if mode in PARSER_MODES:
-        for logits, sent in zip(outputs.arc_logits, sentences):
-            gold_heads = np.array([t.head for t in sent.tokens])
-            if gold_heads.size != logits.shape[0]:
-                raise ValueError("joint_loss: arc logits misaligned with sentence")
-            parts.append(ad.reduce_sum(ad.cross_entropy_with_logits(logits, gold_heads)))
+        gold_heads = np.array([[t.head for t in s.tokens] for s in sentences])
+        if gold_heads.shape != outputs.arc_scores.shape[:2]:
+            raise ValueError("joint_loss: arc scores misaligned with sentences")
+        arc = ad.reshape(outputs.arc_scores, (gold_heads.size, -1))  # [B*T, T+1]
+        parts.append(ad.reduce_sum(ad.cross_entropy_with_logits(arc, gold_heads.ravel())))
         rel_ids = np.array([vocab.rel_id(t.rel) for s in sentences for t in s.tokens])
         parts.append(ad.reduce_sum(ad.cross_entropy_with_logits(outputs.label_logits, rel_ids)))
     if mode in (MODE_POS, MODE_JOINT_POS_STAG):

@@ -67,17 +67,9 @@ class Vocabulary:
             raise KeyError(f"unknown relation label {label!r}; inventory: {sorted(self.rels)}")
         return self.rels[label]
 
-    def rel_name(self, rel_id: int) -> str:
-        return self._inverse(self.rels)[rel_id]
-
-    def pos_name(self, pos_id: int) -> str:
-        return self._inverse(self.pos)[pos_id]
-
-    def stag_name(self, stag_id: int) -> str:
-        return self._inverse(self.stags)[stag_id]
-
     @staticmethod
-    def _inverse(table: dict) -> dict:
+    def inverse(table: dict) -> dict:
+        """Id -> name of one of the tables (`words`, `chars`, `pos`, `stags`, `rels`)."""
         return {i: s for s, i in table.items()}
 
     @property

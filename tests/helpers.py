@@ -1,4 +1,5 @@
-"""Shared test utilities: independent finite-difference oracle and error norms."""
+"""Shared test utilities: independent finite-difference oracle, error norms and
+tape size."""
 
 import numpy as np
 
@@ -27,3 +28,14 @@ def rel_err(analytic, numeric):
     n = np.asarray(numeric, dtype=np.float64)
     denom = np.maximum(np.maximum(np.abs(a), np.abs(n)), 1.0)
     return float(np.max(np.abs(a - n) / denom)) if a.size else 0.0
+
+
+def tape_nodes(root):
+    """Number of distinct tape nodes reachable from `root` through parents."""
+    seen, stack = {id(root)}, [root]
+    while stack:
+        for parent in stack.pop().parents:
+            if id(parent) not in seen:
+                seen.add(id(parent))
+                stack.append(parent)
+    return len(seen)

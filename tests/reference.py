@@ -1,11 +1,59 @@
-"""Per-token and per-step reference paths that the fused and batched code in
-src/ is checked against."""
+"""Per-token, per-word, per-sentence and per-step reference paths that the
+fused and batched code in src/ is checked against, and the tape ops only
+they use."""
 
 import numpy as np
 
 import tagparse.autodiff as ad
 from tagparse.autodiff import Tensor
-from tagparse.encoder import ALL_MODES, PARSER_MODES, char_cnn
+from tagparse.encoder import ALL_MODES, PARSER_MODES
+
+
+def neg(a: Tensor) -> Tensor:
+    a = ad.as_tensor(a)
+    return Tensor(-a.value, parents=(a,), op="neg", backward=lambda g: (-g,))
+
+
+def sigmoid(a: Tensor) -> Tensor:
+    a = ad.as_tensor(a)
+    out = ad.sigmoid_array(a.value)
+    return Tensor(out, parents=(a,), op="sigmoid",
+                  backward=lambda g: (g * out * (1.0 - out),))
+
+
+def tanh(a: Tensor) -> Tensor:
+    a = ad.as_tensor(a)
+    out = np.tanh(a.value)
+    return Tensor(out, parents=(a,), op="tanh", backward=lambda g: (g * (1.0 - out * out),))
+
+
+def char_cnn(char_ids, char_emb: Tensor, filters: Tensor, bias: Tensor,
+             pad_id: int = 0) -> Tensor:
+    """Character vector [F] of one word: embed -> width-w conv -> max over time.
+
+    The word is padded with (w-1)//2 PAD characters on each side, so the
+    convolution output has one position per character.
+    """
+    ids = list(char_ids)
+    if not ids:
+        raise ValueError("char_cnn: empty word")
+    width = filters.shape[0]
+    pad = [pad_id] * ((width - 1) // 2)
+    emb = ad.embedding_lookup(char_emb, np.array(pad + ids + pad, dtype=np.int64))
+    conv = ad.add(ad.conv1d(emb, filters), bias)
+    return ad.max_over_axis(conv, axis=0)
+
+
+def arc_logit_matrix(arc_dep: Tensor, arc_head: Tensor, params: dict) -> Tensor:
+    """Arc scores [T, T+1] of one sentence from its [T+1, d] rows, ROOT first:
+    row i-1 holds dependent i's scores over the T+1 candidate heads."""
+    n_plus_1 = arc_head.shape[0]
+    bilinear = ad.matmul(ad.matmul(arc_head, params["biaffine.W_arc"]),
+                         ad.transpose(arc_dep))  # [heads, deps]
+    head_bias = ad.matmul(arc_head, ad.reshape(params["biaffine.b_arc"], (-1, 1)))
+    all_scores = ad.add(bilinear, head_bias)  # bias is per candidate head
+    deps = ad.slice_axis(all_scores, 1, 1, n_plus_1)
+    return ad.transpose(deps)  # [n, n+1]
 
 
 def _token_pos(tok) -> str:
@@ -59,15 +107,15 @@ def lstm_cell(x_t: Tensor, h_prev: Tensor, c_prev: Tensor, p: dict, prefix: str 
     state update is the same either way.
     """
     cat = ad.concat([x_t, h_prev], axis=1)
-    i = ad.sigmoid(_linear(cat, p[f"{prefix}W_i"], p[f"{prefix}b_i"]))
-    f = ad.sigmoid(_linear(cat, p[f"{prefix}W_f"], p[f"{prefix}b_f"]))
-    c_tilde = ad.tanh(_linear(cat, p[f"{prefix}W_c"], p[f"{prefix}b_c"]))
-    o = ad.sigmoid(_linear(cat, p[f"{prefix}W_o"], p[f"{prefix}b_o"]))
+    i = sigmoid(_linear(cat, p[f"{prefix}W_i"], p[f"{prefix}b_i"]))
+    f = sigmoid(_linear(cat, p[f"{prefix}W_f"], p[f"{prefix}b_f"]))
+    c_tilde = tanh(_linear(cat, p[f"{prefix}W_c"], p[f"{prefix}b_c"]))
+    o = sigmoid(_linear(cat, p[f"{prefix}W_o"], p[f"{prefix}b_o"]))
     c = ad.add(ad.mul(f, c_prev), ad.mul(i, c_tilde))
-    h = ad.mul(o, ad.tanh(c))
+    h = ad.mul(o, tanh(c))
     if f"{prefix}W_r" in p:
-        r = ad.sigmoid(_linear(cat, p[f"{prefix}W_r"], p[f"{prefix}b_r"]))
-        bypass = ad.mul(ad.add(Tensor(1.0), ad.neg(r)), _linear(x_t, p[f"{prefix}W_h"]))
+        r = sigmoid(_linear(cat, p[f"{prefix}W_r"], p[f"{prefix}b_r"]))
+        bypass = ad.mul(ad.add(Tensor(1.0), neg(r)), _linear(x_t, p[f"{prefix}W_h"]))
         h = ad.add(ad.mul(r, h), bypass)
     return h, c
 

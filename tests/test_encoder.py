@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from helpers import numeric_grad, rel_err
+from helpers import numeric_grad, rel_err, tape_nodes
+import reference
 from reference import encode_tokens, lstm_cell, stepwise_bilstm_stack
 
 import tagparse.autodiff as ad
@@ -85,22 +86,23 @@ class TestCharCnn:
         self.bias = Tensor(rng.normal(size=30))
 
     def test_zero_filters_give_bias(self):
-        out = char_cnn([3, 4, 5], self.emb, Tensor(np.zeros((3, 5, 30))), self.bias)
-        np.testing.assert_allclose(out.value, self.bias.value, atol=1e-15)
+        out = char_cnn([[3, 4, 5], [6]], self.emb, Tensor(np.zeros((3, 5, 30))), self.bias)
+        np.testing.assert_allclose(out.value, np.tile(self.bias.value, (2, 1)), atol=1e-15)
 
     @pytest.mark.parametrize("length", [1, 5, 40])
     def test_output_dim_is_filter_count(self, length):
         ids = list(np.random.default_rng(length).integers(2, 10, size=length))
-        assert char_cnn(ids, self.emb, self.filters, self.bias).shape == (30,)
+        assert char_cnn([ids, [2, 3]], self.emb, self.filters, self.bias).shape == (2, 30)
 
     def test_empty_word_rejected(self):
-        with pytest.raises(ValueError):
-            char_cnn([], self.emb, self.filters, self.bias)
+        for words in ([[]], [[3, 4], []], []):
+            with pytest.raises(ValueError):
+                char_cnn(words, self.emb, self.filters, self.bias)
 
     def test_matches_naive_sliding_window_oracle(self):
         rng = np.random.default_rng(8)
         ids = list(rng.integers(2, 10, size=6))
-        out = char_cnn(ids, self.emb, self.filters, self.bias).value
+        out = char_cnn([[4, 5], ids], self.emb, self.filters, self.bias).value[1]
         # naive oracle: pad one PAD char (id 0) each side, slide, max
         padded = [0] + ids + [0]
         emb, filt, bias = self.emb.value, self.filters.value, self.bias.value
@@ -111,6 +113,47 @@ class TestCharCnn:
                 acc += emb[padded[t + w]] @ filt[w]
             want = np.maximum(want, acc)
         np.testing.assert_allclose(out, want, atol=1e-12, rtol=0)
+
+    @pytest.mark.parametrize("width", [1, 2, 3, 4])
+    def test_batch_matches_per_word_oracle(self, width):
+        # words of mixed lengths in one call: values and gradients of every row
+        rng = np.random.default_rng(20 + width)
+        emb = ad.parameter(rng.normal(size=(10, 5)))
+        filters = ad.parameter(rng.normal(size=(width, 5, 7)))
+        bias = ad.parameter(rng.normal(size=7))
+        params = {"emb": emb, "filters": filters, "bias": bias}
+        shortest = 2 - width % 2  # even widths need two characters
+        words = [list(rng.integers(1, 10, size=n)) for n in (shortest, 9, 3, shortest + 1, 6)]
+        weights = rng.normal(size=(len(words), 7))
+        batched = char_cnn(words, emb, filters, bias)
+        grads = ad.gradients(ad.reduce_sum(ad.mul(batched, Tensor(weights))), params)
+        rows = [reference.char_cnn(w, emb, filters, bias) for w in words]
+        loss = ad.reduce_sum(ad.mul(ad.concat([ad.reshape(r, (1, -1)) for r in rows], axis=0),
+                                    Tensor(weights)))
+        want = ad.gradients(loss, params)
+        np.testing.assert_allclose(batched.value, np.stack([r.value for r in rows]),
+                                   atol=1e-12, rtol=0)
+        assert np.all(np.isfinite(batched.value))
+        for name in params:
+            np.testing.assert_allclose(grads[name], want[name], atol=1e-12, rtol=0,
+                                       err_msg=name)
+
+    @pytest.mark.parametrize("width", [2, 4])
+    def test_word_too_short_for_even_width_raises(self, width):
+        # alone or batched with longer words, never a -inf row
+        filters = Tensor(np.random.default_rng(9).normal(size=(width, 5, 30)))
+        for words in ([[3]], [[3, 4, 5, 6], [3], [7, 8, 9]]):
+            with pytest.raises(ad.ShapeError):
+                char_cnn(words, self.emb, filters, self.bias)
+        with pytest.raises(ad.ShapeError):
+            reference.char_cnn([3], self.emb, filters, self.bias)
+
+    def test_tape_size_does_not_grow_with_words(self):
+        def nodes(n_words):
+            words = [[2 + k % 7] * (1 + k % 5) for k in range(n_words)]
+            return tape_nodes(char_cnn(words, self.emb, self.filters, self.bias))
+
+        assert nodes(2) == nodes(40)
 
 
 class TestLstmCell:
@@ -335,18 +378,12 @@ class TestBilstmStack:
         rng = np.random.default_rng(19)
         params = stack_params(rng, config, 3)
 
-        def tape_nodes(seq_len):
+        def nodes(seq_len):
             masks = make_dropout_masks(rng, config, 2, seq_len, 3)
-            out = bilstm_stack(Tensor(rng.normal(size=(2, seq_len, 3))), params, config, masks)
-            seen, stack = {id(out)}, [out]
-            while stack:
-                for parent in stack.pop().parents:
-                    if id(parent) not in seen:
-                        seen.add(id(parent))
-                        stack.append(parent)
-            return len(seen)
+            return tape_nodes(bilstm_stack(Tensor(rng.normal(size=(2, seq_len, 3))), params,
+                                           config, masks))
 
-        assert tape_nodes(3) == tape_nodes(30)
+        assert nodes(3) == nodes(30)
 
     def test_input_width_mismatch_names_the_layer(self):
         config = EncoderConfig(hidden=4, layers=1, dropout_input=0, dropout_layer=0,

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import reference
 from helpers import numeric_grad, rel_err
 
 import tagparse.autodiff as ad
@@ -24,9 +25,15 @@ def softmax_np(x):
     return e / e.sum()
 
 
+def sentence_arc_scores(feats, params):
+    """[T, T+1] scores of one sentence of [T+1, d] rows through the batched scorer."""
+    dep, head = feats.arc_dep.value, feats.arc_head.value
+    return arc_logit_matrix(Tensor(dep[None, 1:]), Tensor(head[None]), params).value[0]
+
+
 def arc_probs(feats, params):
     """Row i-1: distribution of dependent i over the candidate heads."""
-    return ad.softmax(arc_logit_matrix(feats, params), axis=-1).value
+    return ad.softmax(Tensor(sentence_arc_scores(feats, params)), axis=-1).value
 
 
 def label_pair_logits(feats, deps, heads, params, uses_dep=False):
@@ -108,7 +115,7 @@ class TestArcScores:
         feats = make_feats(rng, 6, d_arc=4)
         params = {"biaffine.W_arc": Tensor(rng.normal(size=(4, 4))),
                   "biaffine.b_arc": Tensor(rng.normal(size=4))}
-        logits = arc_logit_matrix(feats, params).value
+        logits = sentence_arc_scores(feats, params)
         shifted = logits + 7.5  # same constant for every candidate head
         assert np.array_equal(np.argmax(logits, axis=1), np.argmax(shifted, axis=1))
         np.testing.assert_allclose(
@@ -116,6 +123,35 @@ class TestArcScores:
             np.apply_along_axis(softmax_np, 1, shifted),
             atol=1e-9,
         )
+
+
+    @pytest.mark.parametrize("trial", range(3))
+    def test_bucket_matches_per_sentence_oracle(self, trial):
+        # values and gradients of a bucket of 3 against one oracle call per sentence
+        rng = np.random.default_rng(70 + trial)
+        batch, seq, d = 3, 5, 4
+        dep = ad.parameter(rng.normal(size=(batch, seq + 1, d)))
+        head = ad.parameter(rng.normal(size=(batch, seq + 1, d)))
+        params = {"biaffine.W_arc": ad.parameter(rng.normal(size=(d, d))),
+                  "biaffine.b_arc": ad.parameter(rng.normal(size=d))}
+        weights = rng.normal(size=(batch, seq, seq + 1))
+        wrt = dict(params, dep=dep, head=head)
+        scores = arc_logit_matrix(ad.slice_axis(dep, 1, 1, seq + 1), head, params)
+        assert scores.shape == (batch, seq, seq + 1)
+        grads = ad.gradients(ad.reduce_sum(ad.mul(scores, Tensor(weights))), wrt)
+        rows = [reference.arc_logit_matrix(ad.reshape(ad.slice_axis(dep, 0, b, b + 1),
+                                                      (seq + 1, d)),
+                                           ad.reshape(ad.slice_axis(head, 0, b, b + 1),
+                                                      (seq + 1, d)), params)
+                for b in range(batch)]
+        loss = ad.reduce_sum(ad.mul(ad.concat([ad.reshape(r, (1, seq, seq + 1)) for r in rows],
+                                              axis=0), Tensor(weights)))
+        want = ad.gradients(loss, wrt)
+        np.testing.assert_allclose(scores.value, np.stack([r.value for r in rows]),
+                                   atol=1e-12, rtol=0)
+        for name in wrt:
+            np.testing.assert_allclose(grads[name], want[name], atol=1e-12, rtol=0,
+                                       err_msg=name)
 
 
 class TestLabelScores:
@@ -196,11 +232,11 @@ class TestLabelScores:
 
 
 def pos_probs(feats, params):
-    return ad.softmax(pos_logits(feats, params), axis=-1).value
+    return ad.softmax(pos_logits(feats.pos, params), axis=-1).value
 
 
 def stag_probs(feats, params):
-    return ad.softmax(stag_logits(feats, params), axis=-1).value
+    return ad.softmax(stag_logits(feats.stag, params), axis=-1).value
 
 
 class TestTagHeads:
@@ -249,7 +285,7 @@ def test_all_outputs_finite_on_finite_inputs():
                               mode="joint-pos-stag")
     encoded = Tensor(rng.normal(size=(5, 8)) * 100)
     feats = head_features(encoded, params)
-    assert np.all(np.isfinite(arc_logit_matrix(feats, params).value))
+    assert np.all(np.isfinite(sentence_arc_scores(feats, params)))
     assert np.all(np.isfinite(label_pair_logits(feats, [1, 2, 3, 4], [0, 2, 1, 0], params).value))
     assert np.all(np.isfinite(pos_probs(feats, params)))
     assert np.all(np.isfinite(stag_probs(feats, params)))

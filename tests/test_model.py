@@ -75,6 +75,20 @@ def test_bucketed_forward_matches_singleton_forward(corpus, joint_model):
                                    solo.stag_logits.value, atol=1e-10)
 
 
+def test_arc_logits_are_per_sentence_slices_on_the_tape(corpus, joint_model):
+    bucket = [s for s in corpus if len(s) == len(corpus[0])]
+    outs = joint_model.forward(bucket)
+    seq = len(bucket[0])
+    assert outs.arc_scores.shape == (len(bucket), seq, seq + 1)
+    per_sentence = outs.arc_logits
+    assert len(per_sentence) == len(bucket)
+    for b, logits in enumerate(per_sentence):
+        np.testing.assert_array_equal(logits.value, outs.arc_scores.value[b])
+    w_arc = joint_model.params["biaffine.W_arc"]
+    grads = ad.gradients(ad.reduce_sum(per_sentence[-1]), {"W": w_arc})
+    assert np.any(grads["W"] != 0.0)
+
+
 def test_predictions_are_valid_trees_with_filled_columns(corpus, joint_model):
     pred = joint_model.predict(corpus)
     assert len(pred) == len(corpus)

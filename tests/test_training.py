@@ -5,6 +5,8 @@ import collections
 import numpy as np
 import pytest
 
+from helpers import tape_nodes
+
 import tagparse.training as training
 from tagparse import autodiff as ad
 from tagparse.encoder import EncoderConfig
@@ -61,7 +63,7 @@ class TestJointLoss:
         seq = len(bucket[0])
         fake = M.BatchOutputs(
             sentences=bucket,
-            arc_logits=[ad.Tensor(np.zeros((seq, seq + 1))) for _ in bucket],
+            arc_scores=ad.Tensor(np.zeros((len(bucket), seq, seq + 1))),
             label_logits=ad.Tensor(np.zeros((n_tokens, vocab.n_rels))),
             pos_logits=ad.Tensor(np.zeros((n_tokens, vocab.n_pos))),
             stag_logits=ad.Tensor(np.zeros((n_tokens, vocab.n_stags))),
@@ -84,7 +86,7 @@ class TestJointLoss:
             m = np.zeros((seq, seq + 1))
             for i, tok in enumerate(s.tokens):
                 m[i, tok.head] = big
-            arc.append(ad.Tensor(m))
+            arc.append(m)
             for tok in s.tokens:
                 r = np.zeros(vocab.n_rels)
                 r[vocab.rel_id(tok.rel)] = big
@@ -95,7 +97,7 @@ class TestJointLoss:
                 t = np.zeros(vocab.n_stags)
                 t[vocab.stag_id(tok.stag)] = big
                 stag_rows.append(t)
-        fake = M.BatchOutputs(sentences=bucket, arc_logits=arc,
+        fake = M.BatchOutputs(sentences=bucket, arc_scores=ad.Tensor(np.stack(arc)),
                               label_logits=ad.Tensor(np.array(rel_rows)),
                               pos_logits=ad.Tensor(np.array(pos_rows)),
                               stag_logits=ad.Tensor(np.array(stag_rows)))
@@ -114,13 +116,34 @@ class TestJointLoss:
         tok_pos = 0
         for b, s in enumerate(bucket):
             for i, tok in enumerate(s.tokens):
-                want += ce(outs.arc_logits[b].value[i], tok.head)
+                want += ce(outs.arc_scores.value[b, i], tok.head)
                 want += ce(outs.label_logits.value[tok_pos], vocab.rel_id(tok.rel))
                 want += ce(outs.pos_logits.value[tok_pos], vocab.pos_id(tok.gold_pos))
                 want += ce(outs.stag_logits.value[tok_pos], vocab.stag_id(tok.stag))
                 tok_pos += 1
         got = float(joint_loss(outs, bucket, vocab, "joint-pos-stag").value)
         np.testing.assert_allclose(got, want, atol=1e-10)
+
+    @pytest.mark.parametrize("dropout", [False, True], ids=["no-dropout", "dropout"])
+    def test_tape_size_does_not_grow_with_bucket(self, dropout):
+        # every head is one tensor per bucket, whatever its sentences and words
+        corpus = make_corpus(120, seed=4)
+        seq = max({len(s) for s in corpus}, key=lambda n: sum(len(s) == n for s in corpus))
+        same = [s for s in corpus if len(s) == seq]
+        assert len(same) >= 10
+        vocab = Vocabulary.from_corpus(corpus)
+        model = Model(vocab, "joint-pos-stag", tiny_enc(layers=2, dropout_input=0.3,
+                                                        dropout_recurrent=0.3),
+                      tiny_heads(), np.random.default_rng(0))
+
+        def nodes(bucket):
+            rng = np.random.default_rng(1) if dropout else None
+            return tape_nodes(joint_loss(model.forward(bucket, rng), bucket, vocab, model.mode))
+
+        small, large = same[:2], same[2:10]
+        assert {t.form for s in large for t in s.tokens} - {t.form for s in small
+                                                               for t in s.tokens}
+        assert nodes(small) == nodes(large)
 
     def test_misaligned_inputs_rejected(self, setup):
         vocab, model, bucket = setup
