@@ -236,7 +236,11 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
 
     def bwd(g):
         full = np.zeros_like(table.value)
-        np.add.at(full, ids.reshape(-1), g.reshape(-1, table.shape[1]))
+        rows, g = ids.reshape(-1) % table.shape[0], g.reshape(-1, table.shape[1])
+        if np.bincount(rows).max(initial=0) <= 1:
+            full[rows] = g  # no row repeats, so there is nothing to accumulate
+        else:
+            np.add.at(full, rows, g)
         return (full,)
 
     return Tensor(out, parents=(table,), op="embedding", backward=bwd)

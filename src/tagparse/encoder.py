@@ -8,11 +8,13 @@ and a linear transform of the input:
     h_t = r_t * o_t * tanh(c_t) + (1 - r_t) * W_h x_t
 
 Each direction of each layer is one op on the autodiff tape, `lstm_layer`,
-with a hand-written backpropagation-through-time backward. It stacks the
-gate parameters at call time in the fixed order i, f, c, o, then r with the
-highway output, so checkpoints keep one tensor per gate
-(`lstm.{layer}.{fw|bw}.W_i`, `.b_i`, ..., `.W_h`) and the tape grows with
-the number of layers, not with sentence length.
+with a hand-written backpropagation-through-time backward, so the tape
+grows with the number of layers, not with sentence length. The gates'
+weights live stacked in one [G*H, d+H] matrix and their biases in one
+[G*H] vector, in the fixed order i, f, c, o, then r with the highway
+output. Checkpoints and the parameter dict keep one tensor per gate
+(`lstm.{layer}.{fw|bw}.W_i`, `.b_i`, ..., `.W_h`), each a row view of its
+stack, so the op reads the stacks without copying them.
 
 Both directions of every layer are concatenated before feeding the next
 layer; a `final_concat_only` flag reproduces the older wiring where each
@@ -58,6 +60,7 @@ MODE_JOINT_STAG = "joint-stag"
 MODE_JOINT_POS_STAG = "joint-pos-stag"
 PARSER_MODES = (MODE_PARSER, MODE_JOINT_STAG, MODE_JOINT_POS_STAG)
 ALL_MODES = (MODE_POS, MODE_STAG) + PARSER_MODES
+GATES = ("i", "f", "c", "o")  # row order of the stacked gates; "r" follows with highway
 
 
 @dataclass
@@ -83,6 +86,8 @@ class EncoderConfig:
                      "char_width", "hidden", "layers"):
             if getattr(self, name) < 1:
                 raise ValueError(f"EncoderConfig.{name} must be positive")
+        if self.char_width % 2 == 0:  # char_cnn would leave a 1-character word no window
+            raise ValueError(f"EncoderConfig.char_width must be odd, got {self.char_width}")
         for name in ("dropout_input", "dropout_layer", "dropout_recurrent"):
             rate = getattr(self, name)
             if not 0.0 <= rate < 1.0:
@@ -124,17 +129,21 @@ def glorot(rng: np.random.Generator, shape, fan_in=None, fan_out=None) -> np.nda
 
 
 def init_lstm_params(rng, in_dim: int, hidden: int, highway: bool, prefix: str, params: dict):
-    """One direction of one layer; gate matrices take [x_t ; h_prev]."""
-    cat = in_dim + hidden
-    for gate in ("i", "f", "c", "o"):
-        params[f"{prefix}.W_{gate}"] = ad.parameter(glorot(rng, (hidden, cat)))
-        bias = np.zeros(hidden)
-        if gate == "f":
-            bias += 1.0  # forget-gate bias starts open
-        params[f"{prefix}.b_{gate}"] = ad.parameter(bias)
+    """One direction of one layer; gate matrices take [x_t ; h_prev].
+
+    Each `W_g` and `b_g` is a row view of one weight and one bias stack,
+    in the order of GATES then r, which `lstm_layer` reads without a copy.
+    """
+    gates = GATES + ("r",) if highway else GATES
+    # one draw gives each gate the values of a Glorot draw of its own [H, d+H], in turn
+    w = glorot(rng, (len(gates) * hidden, in_dim + hidden), fan_out=hidden)
+    b = np.zeros(len(gates) * hidden)
+    b[hidden : 2 * hidden] = 1.0  # forget-gate bias starts open
+    for k, gate in enumerate(gates):
+        rows = slice(k * hidden, (k + 1) * hidden)
+        params[f"{prefix}.W_{gate}"] = ad.parameter(w[rows])
+        params[f"{prefix}.b_{gate}"] = ad.parameter(b[rows])
     if highway:
-        params[f"{prefix}.W_r"] = ad.parameter(glorot(rng, (hidden, cat)))
-        params[f"{prefix}.b_r"] = ad.parameter(np.zeros(hidden))
         params[f"{prefix}.W_h"] = ad.parameter(glorot(rng, (hidden, in_dim)))
 
 
@@ -226,26 +235,44 @@ def make_dropout_masks(rng: np.random.Generator, config: EncoderConfig, batch: i
     return masks
 
 
-GATES = ("i", "f", "c", "o")  # row order of the stacked gates; "r" follows with highway
+def _stacked(parts: list) -> np.ndarray:
+    """The arrays stacked along axis 0: their buffer itself when they are its
+    consecutive row blocks, as `init_lstm_params` lays them out, else a copy."""
+    base, rest = parts[0].base, parts[0].shape[1:]
+    if (base is not None and base.flags.c_contiguous
+            and base.nbytes == sum(p.nbytes for p in parts)):
+        at = base.ctypes.data
+        for p in parts:
+            if (p.base is not base or not p.flags.c_contiguous or p.shape[1:] != rest
+                    or p.ctypes.data != at):
+                break
+            at += p.nbytes
+        else:
+            return base.reshape((-1,) + rest)
+    return np.concatenate(parts)
 
 
 def lstm_layer(xs: Tensor, params: dict, prefix: str, hidden: int,
                rec_mask=None, reverse: bool = False) -> Tensor:
     """One direction of one layer over [B, T, d] inputs, as one tape node.
 
-    The gate parameters `{prefix}.W_g` and `{prefix}.b_g` are stacked at call
-    time in the order of GATES, then r when `{prefix}.W_r` is present (as
-    `init_lstm_params` decides from `config.highway`), so the op sees one
-    W [G*H, d+H] and one b [G*H]; `ad.concat` splits their gradients back
-    per gate. The input projection of every timestep is one matmul, each
-    step one recurrent matmul of the masked h_prev, and the backward is a
-    hand-written BPTT sweep over the cached gate activations and cell
-    states. Returns h_t for every t as [B, T, H]; `reverse` runs from t=T-1.
+    The op sees the gate parameters `{prefix}.W_g` and `{prefix}.b_g`, in the
+    order of GATES, then r when `{prefix}.W_r` is present (as
+    `init_lstm_params` decides from `config.highway`), as one W [G*H, d+H]
+    and one b [G*H]: the stacks that `init_lstm_params` made them views of,
+    or a copy when they are not. The per-gate tensors are the op's parents,
+    and each gets its row block of the stacked gradients. The input
+    projection of every timestep is one matmul, each step one recurrent
+    matmul of the masked h_prev, and the backward is a hand-written BPTT
+    sweep over the cached gate activations and cell states. Returns h_t for
+    every t as [B, T, H]; `reverse` runs from t=T-1.
     """
     highway = f"{prefix}.W_r" in params
     gates = GATES + ("r",) if highway else GATES
-    w = ad.concat([params[f"{prefix}.W_{g}"] for g in gates], axis=0)
-    b = ad.concat([params[f"{prefix}.b_{g}"] for g in gates], axis=0)
+    w_parts = [params[f"{prefix}.W_{g}"] for g in gates]
+    b_parts = [params[f"{prefix}.b_{g}"] for g in gates]
+    w = _stacked([p.value for p in w_parts])
+    b = _stacked([p.value for p in b_parts])
     w_h = params[f"{prefix}.W_h"] if highway else None
     batch, seq_len, in_dim = xs.shape
     if w.shape[1] != in_dim + hidden:
@@ -253,14 +280,17 @@ def lstm_layer(xs: Tensor, params: dict, prefix: str, hidden: int,
                             f" inputs of width {in_dim} and {hidden} hidden units")
     if rec_mask is not None:
         rec_mask = np.asarray(rec_mask, dtype=np.float64)
-    w_x, w_rec = w.value[:, :in_dim], w.value[:, in_dim:]
-    # time-major rows: row t*B + n is token t of sentence n
-    x = np.ascontiguousarray(xs.value.transpose(1, 0, 2)).reshape(seq_len * batch, in_dim)
-    pre = (x @ w_x.T + b.value).reshape(seq_len, batch, -1)
+    w_x, w_rec = w[:, :in_dim], w[:, in_dim:]
+    # time-major rows [x_t | masked h_prev]: row t*B + n is token t of sentence n
+    xh = np.empty((seq_len, batch, in_dim + hidden))
+    xh[:, :, :in_dim] = xs.value.transpose(1, 0, 2)
+    h_ins = xh[:, :, in_dim:]
+    rows = xh.reshape(seq_len * batch, in_dim + hidden)
+    x = rows[:, :in_dim]
+    pre = (x @ w_x.T + b).reshape(seq_len, batch, -1)
     proj = (x @ w_h.value.T).reshape(seq_len, batch, hidden) if highway else None
     acts = np.empty_like(pre)                  # activated gates
     tanh_c = np.empty((seq_len, batch, hidden))
-    h_ins = np.empty((seq_len, batch, hidden))    # masked recurrent inputs
     hs = np.empty((seq_len, batch, hidden))
     # cells[t + put] holds c_t, and cells[t + get] the c_prev of step t
     cells = np.zeros((seq_len + 1, batch, hidden))
@@ -308,16 +338,15 @@ def lstm_layer(xs: Tensor, params: dict, prefix: str, hidden: int,
             if rec_mask is not None:
                 dh_rec *= rec_mask
         flat = dz.reshape(seq_len * batch, -1)
-        dw = np.concatenate([flat.T @ x, flat.T @ h_ins.reshape(seq_len * batch, hidden)], axis=1)
         dx = flat @ w_x
-        grads = (dw, flat.sum(axis=0))
+        grads = np.split(flat.T @ rows, len(gates)) + np.split(flat.sum(axis=0), len(gates))
         if highway:
             dp = dproj.reshape(seq_len * batch, hidden)
             dx += dp @ w_h.value
-            grads += (dp.T @ x,)
-        return (dx.reshape(seq_len, batch, in_dim).transpose(1, 0, 2),) + grads
+            grads.append(dp.T @ x)
+        return (dx.reshape(seq_len, batch, in_dim).transpose(1, 0, 2), *grads)
 
-    parents = (xs, w, b) + ((w_h,) if highway else ())
+    parents = (xs, *w_parts, *b_parts) + ((w_h,) if highway else ())
     out = np.ascontiguousarray(hs.transpose(1, 0, 2))
     return Tensor(out, parents=parents, op="lstm_layer", backward=bwd)
 

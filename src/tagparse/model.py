@@ -275,7 +275,8 @@ class Model:
         extra = [name for name in tensors if name not in model.params]
         if extra:
             raise FormatError(f"{path}: unexpected tensor {extra[0]!r}")
-        model.params = {name: ad.parameter(tensors[name]) for name in model.params}
+        for name, param in model.params.items():
+            param.value[...] = tensors[name]  # in place: the LSTM gates stay views of their stacks
         return model
 
 

@@ -1,12 +1,13 @@
 """Per-token, per-word, per-sentence and per-step reference paths that the
-fused and batched code in src/ is checked against, and the tape ops only
-they use."""
+fused, batched and chunked code in src/ is checked against, and the tape ops
+only they use."""
 
 import numpy as np
 
 import tagparse.autodiff as ad
 from tagparse.autodiff import Tensor
 from tagparse.encoder import ALL_MODES, PARSER_MODES
+from tagparse.optim import AdamState
 
 
 def neg(a: Tensor) -> Tensor:
@@ -157,3 +158,27 @@ def stepwise_bilstm_stack(inputs: Tensor, params: dict, config, masks: dict | No
                     nxt = ad.dropout_with_mask(nxt, layer_mask)
                 in_fw = in_bw = nxt
     return layer_out
+
+
+def adam_step(params: dict, grads: dict, state: AdamState) -> dict:
+    """`optim.adam_step` as whole-tensor expressions, with their temporaries."""
+    state.t += 1
+    bc1 = 1.0 - state.beta1**state.t
+    bc2 = 1.0 - state.beta2**state.t
+    for name, p in params.items():
+        g = grads.get(name)
+        if g is None:
+            continue
+        value = p.value if isinstance(p, Tensor) else p
+        if g.shape != value.shape:
+            raise ad.ShapeError(f"adam_step: param {name} shape {value.shape} vs grad {g.shape}")
+        if name not in state.m:
+            state.m[name] = np.zeros_like(value)
+            state.v[name] = np.zeros_like(value)
+        m, v = state.m[name], state.v[name]
+        m *= state.beta1
+        m += (1.0 - state.beta1) * g
+        v *= state.beta2
+        v += (1.0 - state.beta2) * (g * g)
+        value -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+    return params

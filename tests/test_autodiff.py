@@ -98,6 +98,22 @@ class TestForwardValues:
         np.testing.assert_array_equal(out.value, table.value[[[3, 0], [1, 1]]])
 
 
+@pytest.mark.parametrize("ids", [
+    np.array([[3, 0], [5, 1]]),              # no repeats: one scatter
+    np.array([[3, 0], [3, 3]]),              # repeats: accumulated
+    np.array([4, -2]),                       # the same row, once by a negative index
+    np.zeros((0,), dtype=np.int64),
+], ids=["unique", "repeated", "negative-alias", "empty"])
+def test_embedding_lookup_backward_matches_add_at(ids):
+    table = ad.parameter(np.random.default_rng(3).normal(size=(6, 4)))
+    g = np.random.default_rng(4).normal(size=ids.shape + (4,))
+    out = ad.embedding_lookup(table, ids)
+    ad.backward(ad.reduce_sum(ad.mul(out, Tensor(g))))
+    want = np.zeros((6, 4))
+    np.add.at(want, ids.reshape(-1), g.reshape(-1, 4))
+    np.testing.assert_array_equal(table.grad, want)
+
+
 class TestShapeErrors:
     def test_matmul_mismatch_names_both_shapes(self):
         with pytest.raises(ShapeError, match=r"\(7, 5\).*\(4, 4\)"):

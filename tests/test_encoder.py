@@ -10,11 +10,16 @@ from reference import encode_tokens, lstm_cell, stepwise_bilstm_stack
 import tagparse.autodiff as ad
 from tagparse.autodiff import Tensor
 from tagparse.corpus import Sentence, Token
+from tagparse import encoder
 from tagparse.encoder import (
+    GATES,
     EncoderConfig,
     bilstm_stack,
     char_cnn,
+    glorot,
     init_encoder_params,
+    init_lstm_params,
+    lstm_layer,
     make_dropout_masks,
     parser_config,
     supertagger_config,
@@ -217,8 +222,6 @@ class TestHighwayCell:
 
 
 def stack_params(rng, config, in_dim):
-    from tagparse.encoder import init_lstm_params
-
     params = {}
     dim = in_dim
     for layer in range(config.layers):
@@ -395,6 +398,83 @@ class TestBilstmStack:
     def test_zero_layers_rejected(self):
         with pytest.raises(ValueError):
             EncoderConfig(hidden=4, layers=0)
+
+
+@pytest.mark.parametrize("width", [2, 4])
+def test_even_char_width_rejected(width):
+    # an even width leaves a one-character word no convolution window
+    with pytest.raises(ValueError, match="char_width"):
+        EncoderConfig(char_width=width)
+
+
+class TestGateStacks:
+    def test_gates_are_row_views_of_one_stack(self):
+        params = stack_params(np.random.default_rng(22), EncoderConfig(hidden=4, layers=1), 3)
+        for prefix in ("lstm.0.fw", "lstm.0.bw"):
+            for kind in ("W", "b"):
+                parts = [params[f"{prefix}.{kind}_{g}"].value for g in GATES + ("r",)]
+                stack = encoder._stacked(parts)
+                assert stack.shape[0] == 5 * 4
+                assert all(np.shares_memory(stack, p) for p in parts)
+                np.testing.assert_array_equal(stack, np.concatenate(parts))
+                copies = [p.copy() for p in parts]
+                assert not np.shares_memory(encoder._stacked(copies), copies[0])
+        assert not np.shares_memory(params["lstm.0.fw.W_r"].value, params["lstm.0.fw.W_h"].value)
+
+    def test_init_matches_one_draw_per_gate(self):
+        # the stacks keep the parameter names, order, shapes and random draws
+        params = {}
+        init_lstm_params(np.random.default_rng(23), 3, 4, True, "p", params)
+        rng = np.random.default_rng(23)
+        want = {}
+        for gate in GATES + ("r",):
+            want[f"p.W_{gate}"] = glorot(rng, (4, 7))
+            want[f"p.b_{gate}"] = np.full(4, 1.0 if gate == "f" else 0.0)
+        want["p.W_h"] = glorot(rng, (4, 3))
+        assert list(params) == list(want)
+        for name in want:
+            np.testing.assert_array_equal(params[name].value, want[name], err_msg=name)
+
+    def test_out_of_order_views_are_copied(self):
+        params = stack_params(np.random.default_rng(24), EncoderConfig(hidden=4, layers=1), 3)
+        w = [params[f"lstm.0.fw.W_{g}"].value for g in GATES]
+        assert not np.shares_memory(encoder._stacked([w[1], w[0], w[2], w[3]]), w[0])
+        assert not np.shares_memory(encoder._stacked(w), w[0])  # r's rows follow in the stack
+
+    @pytest.mark.parametrize("masked", [False, True], ids=["no-masks", "masks"])
+    @pytest.mark.parametrize("highway", [False, True], ids=["lstm", "highway"])
+    def test_views_and_copies_agree_with_the_stepwise_oracle(self, highway, masked):
+        config = EncoderConfig(hidden=4, layers=2, highway=highway, dropout_input=0.3,
+                               dropout_layer=0.3, dropout_recurrent=0.3)
+        rng = np.random.default_rng(25)
+        views = stack_params(rng, config, 3)
+        copies = {k: ad.parameter(p.value.copy()) for k, p in views.items()}  # one buffer each
+        x0 = rng.normal(size=(3, 6, 3))
+        weights = Tensor(rng.normal(size=(3, 6, 8)))
+        masks = make_dropout_masks(rng, config, 3, 6, 3) if masked else None
+        results = []
+        for stack, params in ((bilstm_stack, views), (bilstm_stack, copies),
+                              (stepwise_bilstm_stack, views)):
+            x = ad.parameter(x0)
+            out = stack(x, params, config, masks)
+            grads = ad.gradients(ad.reduce_sum(ad.mul(out, weights)), params)
+            results.append((out.value, x.grad, grads))
+        (out, dx, grads), (c_out, c_dx, c_grads), (want_out, want_dx, want_grads) = results
+        np.testing.assert_array_equal(out, c_out)
+        np.testing.assert_array_equal(dx, c_dx)
+        np.testing.assert_allclose(out, want_out, atol=1e-12, rtol=0)
+        np.testing.assert_allclose(dx, want_dx, atol=1e-12, rtol=0)
+        for name in grads:
+            np.testing.assert_array_equal(grads[name], c_grads[name], err_msg=name)
+            np.testing.assert_allclose(grads[name], want_grads[name], atol=1e-12, rtol=0,
+                                       err_msg=name)
+
+    def test_layer_takes_the_gate_tensors_as_parents(self):
+        config = EncoderConfig(hidden=4, layers=1)
+        params = stack_params(np.random.default_rng(26), config, 3)
+        out = lstm_layer(Tensor(np.ones((2, 5, 3))), params, "lstm.0.fw", 4)
+        names = [f"lstm.0.fw.{k}_{g}" for k in ("W", "b") for g in GATES + ("r",)]
+        assert out.parents[1:] == tuple(params[n] for n in names + ["lstm.0.fw.W_h"])
 
 
 @pytest.mark.parametrize("masked", [False, True], ids=["no-masks", "masks"])

@@ -8,7 +8,7 @@ from reference import encode_tokens
 import tagparse.autodiff as ad
 import tagparse.model as tm
 from tagparse.decoder import is_valid_tree
-from tagparse.encoder import EncoderConfig, bilstm_stack
+from tagparse.encoder import GATES, EncoderConfig, bilstm_stack
 from tagparse.heads import HeadConfig
 from tagparse.model import Model
 from tagparse.serialize import FormatError, load_tensors, save_tensors
@@ -185,9 +185,10 @@ def test_load_rejects_tensors_that_do_not_fit_the_config(tmp_path, joint_model, 
     (lambda m: m["heads"].update(d_arc=0), "'heads': HeadConfig.d_arc must be positive"),
     (lambda m: m.update(encoder=[]), "metadata 'encoder' is list, not an object"),
     (lambda m: m.update(vocab="{}"), "metadata 'vocab' is malformed"),
+    (lambda m: m["encoder"].update(char_width=4), "'encoder': EncoderConfig.char_width must be odd"),
 ], ids=["no-vocab", "no-mode", "no-encoder", "no-heads", "mode", "encoder-field",
         "heads-field", "str-int", "float-int", "bool-int", "int-bool", "none-float",
-        "range", "not-object", "vocab"])
+        "range", "not-object", "vocab", "even-char-width"])
 def test_load_rejects_bad_metadata(tmp_path, joint_model, edit, message):
     path = tmp_path / "model.tpt"
     joint_model.save(path)
@@ -196,6 +197,55 @@ def test_load_rejects_bad_metadata(tmp_path, joint_model, edit, message):
     save_tensors(path, tensors, meta)
     with pytest.raises(FormatError, match=message):
         Model.load(path)
+
+
+def gate_params(model, prefix):
+    return [model.params[f"{prefix}.{k}_{g}"].value for k in ("W", "b") for g in GATES + ("r",)]
+
+
+def test_loaded_model_keeps_its_gate_stacks(tmp_path, corpus, joint_model):
+    path = tmp_path / "model.tpt"
+    joint_model.save(path)
+    loaded = Model.load(path)
+    for prefix in ("lstm.0.fw", "lstm.1.bw"):
+        w_i, *rest = gate_params(loaded, prefix)
+        assert all(np.shares_memory(w_i.base, p) for p in rest[:4])
+        for got, want in zip(gate_params(loaded, prefix), gate_params(joint_model, prefix)):
+            np.testing.assert_array_equal(got, want)
+    for use_mst in (False, True):
+        a = joint_model.predict(corpus, use_mst)
+        b = loaded.predict(corpus, use_mst)
+        assert ([[(t.head, t.rel, t.pred_pos, t.stag) for t in s.tokens] for s in a]
+                == [[(t.head, t.rel, t.pred_pos, t.stag) for t in s.tokens] for s in b])
+
+
+def test_training_tape_copies_no_parameter(corpus, joint_model):
+    # the LSTM reads its gate stacks as views: no concat node takes a parameter
+    from tagparse.training import joint_loss
+
+    bucket = [s for s in corpus if len(s) == len(corpus[0])]
+    loss = joint_loss(joint_model.forward(bucket, np.random.default_rng(3)), bucket,
+                      joint_model.vocab, joint_model.mode)
+    params = {id(p) for p in joint_model.params.values()}
+    seen, stack, layers = {id(loss)}, [loss], 0
+    while stack:
+        node = stack.pop()
+        layers += node.op == "lstm_layer"
+        assert node.op != "concat" or not any(id(p) in params for p in node.parents)
+        for parent in node.parents:
+            if id(parent) not in seen:
+                seen.add(id(parent))
+                stack.append(parent)
+    assert layers == 4
+
+
+def test_odd_char_width_parses_one_character_words():
+    sentences = make_corpus(200, seed=0)[:5]
+    assert any(len(t.form) == 1 for s in sentences for t in s.tokens)
+    model = Model(Vocabulary.from_corpus(sentences), "joint-pos-stag", tiny_enc(char_width=5),
+                  tiny_heads(), np.random.default_rng(4))
+    for sent in model.predict(sentences):
+        assert is_valid_tree(np.array([-1] + [t.head for t in sent.tokens]))
 
 
 def test_supertagger_mode_only_fills_stags(corpus):

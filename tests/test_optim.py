@@ -1,10 +1,20 @@
 """Adam recurrence checks."""
 
+import tracemalloc
+
 import numpy as np
+import pytest
+
+import reference
 
 from tagparse import autodiff as ad
-from tagparse.autodiff import parameter
-from tagparse.optim import AdamState, adam_step
+from tagparse.autodiff import ShapeError, parameter
+from tagparse.encoder import parser_config
+from tagparse.heads import HeadConfig
+from tagparse.model import Model
+from tagparse.optim import CHUNK, AdamState, adam_step
+from tagparse.synthetic import make_corpus
+from tagparse.vocab import Vocabulary
 
 
 def test_zero_gradients_leave_parameters_unchanged():
@@ -52,10 +62,67 @@ def test_converges_on_quadratic():
 
 
 def test_shape_mismatch_rejected():
-    import pytest
-
-    from tagparse.autodiff import ShapeError
-
     p = parameter(np.zeros((2, 2)))
     with pytest.raises(ShapeError):
         adam_step({"p": p}, {"p": np.zeros(3)}, AdamState())
+
+
+def model_shapes():
+    corpus = make_corpus(40, seed=0)
+    model = Model(Vocabulary.from_corpus(corpus), "joint-pos-stag", parser_config(hidden=32),
+                  HeadConfig(d_arc=40, d_rel=20, d_pos=20, d_stag=20),
+                  np.random.default_rng(0))
+    return {name: p.shape for name, p in model.params.items()}
+
+
+@pytest.mark.parametrize("shapes", [
+    {"p": (1,)}, {"p": (CHUNK,)}, {"p": (CHUNK + 1,)},
+    {"scalar": (), "rows": (3, CHUNK // 2 + 5), "cube": (7, 11, 13)},
+    model_shapes(),
+], ids=["one", "chunk", "chunk-plus-one", "mixed", "model"])
+def test_bit_identical_to_whole_tensor_oracle(shapes):
+    rng = np.random.default_rng(5)
+    start = {name: rng.normal(size=shape) for name, shape in shapes.items()}
+    runs = []
+    for step in (adam_step, reference.adam_step):
+        params = {name: parameter(v.copy()) for name, v in start.items()}
+        state = AdamState(lr=0.003)
+        grads_rng = np.random.default_rng(6)
+        for _ in range(50):
+            # gradients over many magnitudes, some exactly zero
+            grads = {name: grads_rng.normal(size=shape) * 10.0 ** grads_rng.integers(-6, 3)
+                     * (grads_rng.random(size=shape) > 0.1) for name, shape in shapes.items()}
+            step(params, grads, state)
+        runs.append((params, state))
+    (params, state), (want, want_state) = runs
+    for name in shapes:
+        assert np.array_equal(params[name].value, want[name].value), name
+        assert np.array_equal(state.m[name], want_state.m[name]), name
+        assert np.array_equal(state.v[name], want_state.v[name]), name
+
+
+def test_strided_parameter_updates_in_place():
+    rng = np.random.default_rng(7)
+    grad = rng.normal(size=(5, 3))
+    got, want = np.arange(15.0).reshape(3, 5).T, np.arange(15.0).reshape(3, 5).T
+    for _ in range(3):
+        adam_step({"p": got}, {"p": grad}, AdamState())
+    for _ in range(3):
+        reference.adam_step({"p": want}, {"p": grad}, AdamState())
+    assert not got.flags.c_contiguous
+    assert np.array_equal(got, want)
+
+
+def test_step_allocates_no_full_size_temporary():
+    # each whole-tensor temporary of a 1M-value tensor is 8 MB
+    p = parameter(np.zeros(1_000_000))
+    grad = np.random.default_rng(8).normal(size=p.shape)
+    state = AdamState()
+    adam_step({"p": p}, {"p": grad}, state)  # the first step allocates m and v
+    tracemalloc.start()
+    try:
+        adam_step({"p": p}, {"p": grad}, state)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
