@@ -76,7 +76,7 @@ def top_frequent_supertags(corpus, vocab, k: int = 300) -> list:
     for sent in corpus:
         for tok in sent.tokens:
             if tok.stag is not None:
-                counts[vocab.stag_id(tok.stag)] += 1
+                counts[vocab.tag_id("stag", tok.stag)] += 1
     ranked = sorted(counts, key=lambda i: (-counts[i], i))
     return ranked[:k]
 

@@ -9,9 +9,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 __all__ = ["Token", "Sentence", "CorpusFormatError", "read_corpus", "write_corpus",
-           "parse_corpus", "format_corpus"]
+           "parse_corpus", "format_corpus", "GOLD_FIELD", "PRED_FIELD"]
 
 MISSING = "_"
+# the Token field that holds each tag column's gold value, and the one its predictions fill
+GOLD_FIELD = {"pos": "gold_pos", "stag": "stag"}
+PRED_FIELD = {"pos": "pred_pos", "stag": "stag"}
 
 
 class CorpusFormatError(ValueError):
@@ -47,12 +50,16 @@ class Sentence:
 
 def parse_corpus(text: str, path: str = "<string>") -> list:
     sentences, current = [], []
-    for lineno, line in enumerate(text.split("\n"), start=1):
+    top = (0, 0)  # the largest head in `current`, and its line
+    for lineno, line in enumerate(text.split("\n") + [""], start=1):  # "" ends the last sentence
         line = line.rstrip("\r")
         if not line.strip():
+            if top[0] > len(current):
+                raise CorpusFormatError(f"{path}:{top[1]}: head {top[0]} is past the last"
+                                        f" token of a {len(current)}-token sentence")
             if current:
                 sentences.append(Sentence(current))
-                current = []
+            current, top = [], (0, 0)
             continue
         cols = line.split("\t")
         if len(cols) != 7:
@@ -66,6 +73,9 @@ def parse_corpus(text: str, path: str = "<string>") -> list:
             raise CorpusFormatError(f"{path}:{lineno}: token index {idx_val} out of order")
         if head_val < 0:
             raise CorpusFormatError(f"{path}:{lineno}: negative head index")
+        if head_val == idx_val:
+            raise CorpusFormatError(f"{path}:{lineno}: token {idx_val} is its own head")
+        top = max(top, (head_val, lineno))
         current.append(
             Token(
                 form=form,
@@ -76,8 +86,6 @@ def parse_corpus(text: str, path: str = "<string>") -> list:
                 rel=rel,
             )
         )
-    if current:
-        sentences.append(Sentence(current))
     return sentences
 
 

@@ -120,13 +120,6 @@ class DepGraph:
     def arcs_involving(self, node: int) -> list:
         return [Arc(*k) for k in self._arcs if k[0] == node or k[1] == node]
 
-    def parsed_head(self, child: int) -> tuple | None:
-        """(parent, label) of the parsed (tree) arc of a token."""
-        for (c, p, l), origin in self._arcs.items():
-            if c == child and origin == PARSED:
-                return p, l
-        return None
-
     def sorted_arcs(self) -> list:
         return sorted(self._arcs)
 

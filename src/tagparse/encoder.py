@@ -16,9 +16,15 @@ output. Checkpoints and the parameter dict keep one tensor per gate
 (`lstm.{layer}.{fw|bw}.W_i`, `.b_i`, ..., `.W_h`), each a row view of its
 stack, so the op reads the stacks without copying them.
 
-Both directions of every layer are concatenated before feeding the next
-layer; a `final_concat_only` flag reproduces the older wiring where each
-direction sees only its own stream until the top.
+Both directions of every layer are concatenated, and that concatenation,
+after layer dropout, feeds both directions of the next layer.
+
+`MODE_TASKS` is the one table of what each mode predicts: "arcs" (heads and
+labels) and the tag columns "pos" and "stag". `EncoderConfig.input_tags` is
+the one rule for the tag columns a mode reads: the supertagger reads POS,
+parser-family modes read what `use_pos_input` and `use_stag_input` ask for.
+No mode reads a column it predicts, as its gold value would be both input
+and target; asking for that raises ValueError.
 
 Recurrent dropout is variational: one mask per sequence per direction per
 layer, applied to the recurrent input h_prev at every step.
@@ -50,6 +56,8 @@ __all__ = [
     "MODE_PARSER",
     "MODE_JOINT_STAG",
     "MODE_JOINT_POS_STAG",
+    "MODE_TASKS",
+    "TAGS",
     "PARSER_MODES",
 ]
 
@@ -58,8 +66,17 @@ MODE_STAG = "supertagger"
 MODE_PARSER = "parser"
 MODE_JOINT_STAG = "joint-stag"
 MODE_JOINT_POS_STAG = "joint-pos-stag"
-PARSER_MODES = (MODE_PARSER, MODE_JOINT_STAG, MODE_JOINT_POS_STAG)
-ALL_MODES = (MODE_POS, MODE_STAG) + PARSER_MODES
+TAGS = ("pos", "stag")  # the tag columns, in the order the encoder reads them
+# what each mode predicts: "arcs" (heads and relation labels) and tag columns
+MODE_TASKS = {
+    MODE_POS: ("pos",),
+    MODE_STAG: ("stag",),
+    MODE_PARSER: ("arcs",),
+    MODE_JOINT_STAG: ("arcs", "stag"),
+    MODE_JOINT_POS_STAG: ("arcs", "pos", "stag"),
+}
+ALL_MODES = tuple(MODE_TASKS)
+PARSER_MODES = tuple(mode for mode, tasks in MODE_TASKS.items() if "arcs" in tasks)
 GATES = ("i", "f", "c", "o")  # row order of the stacked gates; "r" follows with highway
 
 
@@ -77,7 +94,6 @@ class EncoderConfig:
     dropout_input: float = 0.5
     dropout_layer: float = 0.5
     dropout_recurrent: float = 0.5
-    final_concat_only: bool = False
     use_pos_input: bool = False
     use_stag_input: bool = False
 
@@ -93,16 +109,27 @@ class EncoderConfig:
             if not 0.0 <= rate < 1.0:
                 raise ValueError(f"EncoderConfig.{name} must be in [0, 1)")
 
+    def input_tags(self, mode: str) -> tuple:
+        """The tag columns, in TAGS order, that `mode` reads as input.
+
+        Raises ValueError for an unknown mode, and for a mode asked to read
+        a column it predicts.
+        """
+        if mode not in MODE_TASKS:
+            raise ValueError(f"unknown mode {mode!r}; expected one of {ALL_MODES}")
+        if mode in PARSER_MODES:
+            tags = tuple(tag for tag in TAGS if getattr(self, f"use_{tag}_input"))
+        else:
+            tags = ("pos",) if mode == MODE_STAG else ()
+        for tag in tags:
+            if tag in MODE_TASKS[mode]:
+                raise ValueError(f"mode {mode!r} predicts the {tag} column, so it cannot"
+                                 f" read it: use_{tag}_input must be False")
+        return tags
+
     def input_dim(self, mode: str) -> int:
-        dim = self.word_dim + self.char_filters
-        if mode == MODE_STAG:
-            dim += self.pos_dim
-        elif mode in PARSER_MODES:
-            if self.use_pos_input:
-                dim += self.pos_dim
-            if self.use_stag_input:
-                dim += self.stag_dim
-        return dim
+        return self.word_dim + self.char_filters + sum(
+            getattr(self, f"{tag}_dim") for tag in self.input_tags(mode))
 
 
 def supertagger_config(**kw) -> EncoderConfig:
@@ -154,8 +181,7 @@ def init_encoder_params(rng, vocab: Vocabulary, config: EncoderConfig, mode: str
     Word embeddings start at zero (rows from `pretrained` override); every
     other table and matrix is Glorot-uniform.
     """
-    if mode not in ALL_MODES:
-        raise ValueError(f"unknown mode {mode!r}; expected one of {ALL_MODES}")
+    tags = config.input_tags(mode)
     params: dict = {}
     word_table = np.zeros((len(vocab.words), config.word_dim))
     if pretrained:
@@ -169,17 +195,15 @@ def init_encoder_params(rng, vocab: Vocabulary, config: EncoderConfig, mode: str
                fan_in=config.char_width * config.char_dim, fan_out=config.char_filters)
     )
     params["cnn.bias"] = ad.parameter(np.zeros(config.char_filters))
-    needs_pos = mode == MODE_STAG or (mode in PARSER_MODES and config.use_pos_input)
-    if needs_pos:
-        params["emb.pos"] = ad.parameter(glorot(rng, (vocab.n_pos, config.pos_dim)))
-    if mode in PARSER_MODES and config.use_stag_input:
-        params["emb.stag"] = ad.parameter(glorot(rng, (vocab.n_stags, config.stag_dim)))
+    for tag in tags:
+        params[f"emb.{tag}"] = ad.parameter(
+            glorot(rng, (len(vocab.tags(tag)), getattr(config, f"{tag}_dim"))))
     in_dim = config.input_dim(mode)
     for layer in range(config.layers):
         for direction in ("fw", "bw"):
             init_lstm_params(rng, in_dim, config.hidden, config.highway,
                              f"lstm.{layer}.{direction}", params)
-        in_dim = config.hidden if config.final_concat_only else 2 * config.hidden
+        in_dim = 2 * config.hidden
     return params
 
 
@@ -230,7 +254,7 @@ def make_dropout_masks(rng: np.random.Generator, config: EncoderConfig, batch: i
                     config.dropout_recurrent, (batch, config.hidden)
                 )
         if config.dropout_layer > 0 and layer < config.layers - 1:
-            width = config.hidden if config.final_concat_only else 2 * config.hidden
+            width = 2 * config.hidden  # the [fw ; bw] output feeding the next layer
             masks[("layer", layer)] = draw(config.dropout_layer, (batch, seq_len, width))
     return masks
 
@@ -362,26 +386,12 @@ def bilstm_stack(inputs: Tensor, params: dict, config: EncoderConfig,
     masks = masks or {}
     if "input" in masks:
         inputs = ad.dropout_with_mask(inputs, masks["input"])
-    in_fw = in_bw = inputs
-    layer_out = None
     for layer in range(config.layers):
-        outs = {
-            direction: lstm_layer(stream, params, f"lstm.{layer}.{direction}", config.hidden,
-                                  masks.get(("rec", layer, direction)),
-                                  reverse=direction == "bw")
-            for direction, stream in (("fw", in_fw), ("bw", in_bw))
-        }
-        layer_out = ad.concat([outs["fw"], outs["bw"]], axis=2)
-        if layer < config.layers - 1:
-            layer_mask = masks.get(("layer", layer))
-            if config.final_concat_only:
-                in_fw, in_bw = outs["fw"], outs["bw"]
-                if layer_mask is not None:
-                    in_fw = ad.dropout_with_mask(in_fw, layer_mask)
-                    in_bw = ad.dropout_with_mask(in_bw, layer_mask)
-            else:
-                nxt = layer_out
-                if layer_mask is not None:
-                    nxt = ad.dropout_with_mask(nxt, layer_mask)
-                in_fw = in_bw = nxt
-    return layer_out
+        # the previous layer's [fw ; bw] output, through layer dropout
+        if ("layer", layer - 1) in masks:
+            inputs = ad.dropout_with_mask(inputs, masks[("layer", layer - 1)])
+        inputs = ad.concat([
+            lstm_layer(inputs, params, f"lstm.{layer}.{direction}", config.hidden,
+                       masks.get(("rec", layer, direction)), reverse=direction == "bw")
+            for direction in ("fw", "bw")], axis=2)
+    return inputs

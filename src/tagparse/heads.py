@@ -13,20 +13,20 @@ Relation scores for the arc from predicted head p to dependent i:
     l_i = softmax(h_p_rel_head^T U h_i_rel_dep
                   + W_rel (h_i_rel_head + h_p_rel_head) + b_rel)
 
-`rel_affine_uses_dep` swaps the first operand of the affine term to
-h_i_rel_dep (the variant used by the cited biaffine architecture); the
-default follows the equation as printed above.
+A mode has the heads of the tasks that `encoder.MODE_TASKS` lists for it:
+the arc and label scorers for "arcs", and an MLP and output layer for each
+tag column it predicts.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .encoder import MODE_JOINT_POS_STAG, MODE_JOINT_STAG, MODE_POS, MODE_STAG, glorot
+from .encoder import MODE_TASKS, TAGS, glorot
 
 __all__ = [
     "HeadConfig",
@@ -47,8 +47,6 @@ class HeadConfig:
     d_pos: int = 500
     d_stag: int = 500
     mlp_dropout: float = 0.33
-    label_on_gold_heads: bool = True
-    rel_affine_uses_dep: bool = False
 
     def __post_init__(self):
         for name in ("d_arc", "d_rel", "d_pos", "d_stag"):
@@ -78,7 +76,8 @@ def init_head_params(rng, config: HeadConfig, feat_dim: int, n_pos: int,
         params[f"mlp.{name}.W"] = ad.parameter(glorot(rng, (width, feat_dim)))
         params[f"mlp.{name}.b"] = ad.parameter(np.zeros(width))
 
-    if mode not in (MODE_POS, MODE_STAG):
+    tasks = MODE_TASKS[mode]
+    if "arcs" in tasks:
         for name in ("arc_dep", "arc_head"):
             mlp(name, config.d_arc)
         for name in ("rel_dep", "rel_head"):
@@ -91,14 +90,12 @@ def init_head_params(rng, config: HeadConfig, feat_dim: int, n_pos: int,
         )
         params["rel.W"] = ad.parameter(glorot(rng, (n_rels, config.d_rel)))
         params["rel.b"] = ad.parameter(np.zeros(n_rels))
-    if mode in (MODE_POS, MODE_JOINT_POS_STAG):
-        mlp("pos", config.d_pos)
-        params["out.pos.W"] = ad.parameter(glorot(rng, (n_pos, config.d_pos)))
-        params["out.pos.b"] = ad.parameter(np.zeros(n_pos))
-    if mode in (MODE_STAG, MODE_JOINT_STAG, MODE_JOINT_POS_STAG):
-        mlp("stag", config.d_stag)
-        params["out.stag.W"] = ad.parameter(glorot(rng, (n_stags, config.d_stag)))
-        params["out.stag.b"] = ad.parameter(np.zeros(n_stags))
+    for tag, n_tags in zip(TAGS, (n_pos, n_stags)):
+        if tag in tasks:
+            width = getattr(config, f"d_{tag}")
+            mlp(tag, width)
+            params[f"out.{tag}.W"] = ad.parameter(glorot(rng, (n_tags, width)))
+            params[f"out.{tag}.b"] = ad.parameter(np.zeros(n_tags))
     return params
 
 
@@ -116,14 +113,7 @@ def head_features(encoded: Tensor, params: dict, mask=None) -> HeadFeatures:
     """
     if mask is not None:
         encoded = ad.dropout_with_mask(encoded, mask)
-    return HeadFeatures(
-        arc_dep=_mlp(encoded, params, "arc_dep"),
-        arc_head=_mlp(encoded, params, "arc_head"),
-        rel_dep=_mlp(encoded, params, "rel_dep"),
-        rel_head=_mlp(encoded, params, "rel_head"),
-        pos=_mlp(encoded, params, "pos"),
-        stag=_mlp(encoded, params, "stag"),
-    )
+    return HeadFeatures(**{f.name: _mlp(encoded, params, f.name) for f in fields(HeadFeatures)})
 
 
 def arc_logit_matrix(arc_dep: Tensor, arc_head: Tensor, params: dict) -> Tensor:
@@ -144,7 +134,7 @@ def arc_logit_matrix(arc_dep: Tensor, arc_head: Tensor, params: dict) -> Tensor:
 
 
 def label_logits_pairs(dep: Tensor, dep_head_role: Tensor, head: Tensor,
-                       params: dict, rel_affine_uses_dep: bool = False) -> Tensor:
+                       params: dict) -> Tensor:
     """Relation scores [N, r] for N (dependent, head) row pairs.
 
     `dep` holds rel-dep rows of the dependents, `dep_head_role` their
@@ -156,8 +146,7 @@ def label_logits_pairs(dep: Tensor, dep_head_role: Tensor, head: Tensor,
     head_u = ad.reshape(ad.matmul(head, ad.reshape(params["rel.U"], (d_rel, d_rel * r))),
                         (n, d_rel, r))
     bilinear = ad.reduce_sum(ad.mul(head_u, ad.reshape(dep, (n, d_rel, 1))), axis=1)
-    affine_dep = dep if rel_affine_uses_dep else dep_head_role
-    affine = ad.matmul(ad.add(affine_dep, head), ad.transpose(params["rel.W"]))
+    affine = ad.matmul(ad.add(dep_head_role, head), ad.transpose(params["rel.W"]))
     return ad.add(ad.add(bilinear, affine), ad.reshape(params["rel.b"], (1, -1)))
 
 

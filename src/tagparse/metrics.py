@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import unicodedata
 
+from .corpus import GOLD_FIELD, PRED_FIELD
+
 __all__ = [
     "is_pure_punctuation",
     "las_uas",
@@ -58,10 +60,7 @@ def tag_accuracy(pred, gold, which: str) -> float:
     for p, g in zip(pred, gold):
         for tp, tg in zip(p.tokens, g.tokens):
             total += 1
-            if which == "pos":
-                ok += tp.pred_pos == tg.gold_pos
-            else:
-                ok += tp.stag == tg.stag
+            ok += getattr(tp, PRED_FIELD[which]) == getattr(tg, GOLD_FIELD[which])
     return 100.0 * ok / total if total else 0.0
 
 

@@ -16,13 +16,11 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .decoder import ScoreMatrix, assign_labels, chu_liu_edmonds, enforce_tree, greedy_heads
+from .corpus import PRED_FIELD
 from .encoder import (
     ALL_MODES,
-    MODE_JOINT_POS_STAG,
-    MODE_JOINT_STAG,
-    MODE_POS,
-    MODE_STAG,
-    PARSER_MODES,
+    MODE_TASKS,
+    TAGS,
     EncoderConfig,
     bilstm_stack,
     char_cnn,
@@ -66,6 +64,13 @@ class BatchOutputs:
                 for b in range(batch)]
 
 
+def _input_tag(tok, tag: str) -> str:
+    """The tag a token feeds the encoder; its predicted POS before its gold one."""
+    if tag == "pos":
+        return tok.pred_pos if tok.pred_pos is not None else tok.gold_pos
+    return tok.stag or ""
+
+
 class Model:
     def __init__(self, vocab: Vocabulary, mode: str, enc_config: EncoderConfig,
                  head_config: HeadConfig, rng: np.random.Generator,
@@ -82,13 +87,14 @@ class Model:
         )
 
     @property
+    def tasks(self) -> tuple:
+        return MODE_TASKS[self.mode]
+
+    @property
     def with_root(self) -> bool:
-        return self.mode in PARSER_MODES
+        return "arcs" in self.tasks
 
     # ----- input assembly -------------------------------------------------
-
-    def _token_pos_name(self, tok) -> str:
-        return tok.pred_pos if tok.pred_pos is not None else tok.gold_pos
 
     def _char_table(self, forms: list) -> tuple:
         """Char-CNN vector per unique form; returns (Tensor [U, F], index map)."""
@@ -104,14 +110,10 @@ class Model:
         word_ids = np.array([[self.vocab.word_id(t.form) for t in s.tokens]
                              for s in sentences])
         parts = [ad.embedding_lookup(self.params["emb.word"], word_ids)]
-        if "emb.pos" in self.params:
-            pos_ids = np.array([[self.vocab.pos_id(self._token_pos_name(t))
-                                 for t in s.tokens] for s in sentences])
-            parts.append(ad.embedding_lookup(self.params["emb.pos"], pos_ids))
-        if "emb.stag" in self.params:
-            stag_ids = np.array([[self.vocab.stag_id(t.stag or "") for t in s.tokens]
-                                 for s in sentences])
-            parts.append(ad.embedding_lookup(self.params["emb.stag"], stag_ids))
+        for tag in self.enc_config.input_tags(self.mode):
+            tag_ids = np.array([[self.vocab.tag_id(tag, _input_tag(t, tag)) for t in s.tokens]
+                                for s in sentences])
+            parts.append(ad.embedding_lookup(self.params[f"emb.{tag}"], tag_ids))
         char_rows = np.array([[char_idx[t.form] for t in s.tokens] for s in sentences])
         parts.append(ad.embedding_lookup(char_table, char_rows))
         mat = ad.concat(parts, axis=2)  # [B, T, d_in]
@@ -148,18 +150,17 @@ class Model:
         feats = head_features(flat, self.params, mlp_mask)
         out = BatchOutputs(sentences=list(sentences))
         token_rows = self._token_rows(batch, seq)
-        if self.mode in PARSER_MODES:
+        if "arcs" in self.tasks:
             out.arc_scores = arc_logit_matrix(
                 ad.embedding_lookup(feats.arc_dep, token_rows.reshape(batch, seq)),
                 ad.reshape(feats.arc_head, (batch, rows, -1)), self.params)
             out.rel_dep, out.rel_head = feats.rel_dep, feats.rel_head
             head_rows = self._head_rows(sentences, rows, rng is not None, out.arc_scores)
             out.label_logits = self._label_logits(out, token_rows, head_rows)
-        if self.mode in (MODE_POS, MODE_JOINT_POS_STAG):
-            out.pos_logits = pos_logits(ad.embedding_lookup(feats.pos, token_rows), self.params)
-        if self.mode in (MODE_STAG, MODE_JOINT_STAG, MODE_JOINT_POS_STAG):
-            out.stag_logits = stag_logits(ad.embedding_lookup(feats.stag, token_rows),
-                                          self.params)
+        for tag, logits in zip(TAGS, (pos_logits, stag_logits)):
+            if tag in self.tasks:
+                rows = ad.embedding_lookup(getattr(feats, tag), token_rows)
+                setattr(out, f"{tag}_logits", logits(rows, self.params))
         return out
 
     def _token_rows(self, batch: int, seq: int) -> np.ndarray:
@@ -178,16 +179,15 @@ class Model:
             ad.embedding_lookup(outs.rel_head, dep_rows),
             ad.embedding_lookup(outs.rel_head, head_rows),
             self.params,
-            self.head_config.rel_affine_uses_dep,
         )
 
     def _head_rows(self, sentences, rows, training, arc_scores) -> np.ndarray:
         """Global feature-row index of each token's head for label scoring.
 
-        Training conditions on gold heads when `label_on_gold_heads` is on;
-        otherwise (and always at inference) on the current arc argmax.
+        Training conditions on the gold heads, a forward without dropout on
+        the current arc argmax.
         """
-        if training and self.head_config.label_on_gold_heads:
+        if training:
             heads = np.array([[t.head for t in s.tokens] for s in sentences], dtype=np.int64)
         else:
             heads = np.argmax(arc_scores.value, axis=2)
@@ -206,7 +206,7 @@ class Model:
             outs = self.forward(bucket)
             filled = [sent.copy() for sent in bucket]
             self._fill_tags(filled, outs)
-            if self.mode in PARSER_MODES:
+            if "arcs" in self.tasks:
                 self._fill_parse(filled, outs, use_mst)
             for pos, sent in zip(positions, filled):
                 results[pos] = sent
@@ -215,14 +215,12 @@ class Model:
     def _fill_tags(self, bucket: list, outs: BatchOutputs) -> None:
         """Argmax POS and supertags of a whole bucket; rows are sentence-major."""
         tokens = [tok for sent in bucket for tok in sent.tokens]
-        if outs.pos_logits is not None:
-            names = self.vocab.inverse(self.vocab.pos)
-            for tok, i in zip(tokens, np.argmax(outs.pos_logits.value, axis=1)):
-                tok.pred_pos = names[int(i)]
-        if outs.stag_logits is not None:
-            names = self.vocab.inverse(self.vocab.stags)
-            for tok, i in zip(tokens, np.argmax(outs.stag_logits.value, axis=1)):
-                tok.stag = names[int(i)]
+        for tag in TAGS:
+            if tag in self.tasks:
+                names = self.vocab.inverse(self.vocab.tags(tag))
+                logits = getattr(outs, f"{tag}_logits").value
+                for tok, i in zip(tokens, np.argmax(logits, axis=1)):
+                    setattr(tok, PRED_FIELD[tag], names[int(i)])
 
     def _fill_parse(self, bucket: list, outs: BatchOutputs, use_mst: bool) -> None:
         """Decode every sentence of a bucket, then label all decoded arcs at once."""
@@ -283,6 +281,11 @@ class Model:
 # the JSON values a config field of each annotated type accepts; bool is checked apart,
 # since True and False are ints to isinstance
 _FIELD_TYPES = {"int": int, "float": (int, float), "bool": bool}
+# fields of older checkpoints whose behaviour is now fixed; each loads only at that value
+_REMOVED_FIELDS = {
+    "encoder": {"final_concat_only": False},
+    "heads": {"label_on_gold_heads": True, "rel_affine_uses_dep": False},
+}
 
 
 def _read_config(path, meta: dict, key: str, cls):
@@ -291,7 +294,13 @@ def _read_config(path, meta: dict, key: str, cls):
     if not isinstance(values, dict):
         raise FormatError(f"{path}: metadata {key!r} is {type(values).__name__}, not an object")
     types = {f.name: f.type for f in fields(cls)}
+    removed = _REMOVED_FIELDS[key]
     for name, value in values.items():
+        if name in removed:
+            if value is not removed[name]:
+                raise FormatError(f"{path}: metadata {key!r} field {name!r} is {value!r};"
+                                  f" the field is removed and loads only as {removed[name]!r}")
+            continue
         if name not in types:
             raise FormatError(f"{path}: metadata {key!r} has unknown field {name!r}")
         kind = types[name]
@@ -300,7 +309,7 @@ def _read_config(path, meta: dict, key: str, cls):
             raise FormatError(f"{path}: metadata {key!r} field {name!r} is {value!r},"
                               f" expected {kind}")
     try:
-        return cls(**values)
+        return cls(**{name: v for name, v in values.items() if name not in removed})
     except ValueError as e:  # __post_init__ range checks
         raise FormatError(f"{path}: metadata {key!r}: {e}") from None
 
@@ -319,5 +328,9 @@ def _read_meta(path, meta) -> tuple:
         vocab = Vocabulary.from_json(meta["vocab"])
     except (AttributeError, KeyError, TypeError, ValueError) as e:
         raise FormatError(f"{path}: metadata 'vocab' is malformed: {e!r}") from None
-    return (vocab, meta["mode"], _read_config(path, meta, "encoder", EncoderConfig),
-            _read_config(path, meta, "heads", HeadConfig))
+    enc_config = _read_config(path, meta, "encoder", EncoderConfig)
+    try:
+        enc_config.input_tags(meta["mode"])
+    except ValueError as e:  # the mode would read a column it predicts
+        raise FormatError(f"{path}: metadata 'encoder': {e}") from None
+    return vocab, meta["mode"], enc_config, _read_config(path, meta, "heads", HeadConfig)

@@ -34,7 +34,7 @@ def save_tensors(path, tensors: dict, meta: dict | None = None) -> None:
     """Write named arrays/Tensors and optional JSON-serializable metadata."""
     entries, payloads = [], []
     for name, t in tensors.items():
-        arr = np.ascontiguousarray(t.value if isinstance(t, Tensor) else t)
+        arr = np.asarray(t.value if isinstance(t, Tensor) else t)  # tobytes() is row-major
         code = "f4" if arr.dtype == np.float32 else "f8"
         arr = arr.astype(_DTYPES[code])
         entries.append({"name": name, "shape": list(arr.shape), "dtype": code})

@@ -4,21 +4,13 @@ jackknifing, and the shuffled-supertag control."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
-from .corpus import Sentence
-from .encoder import (
-    MODE_JOINT_POS_STAG,
-    MODE_JOINT_STAG,
-    MODE_PARSER,
-    MODE_POS,
-    MODE_STAG,
-    PARSER_MODES,
-    EncoderConfig,
-)
+from .corpus import GOLD_FIELD, PRED_FIELD
+from .encoder import MODE_JOINT_POS_STAG, MODE_TASKS, TAGS, EncoderConfig
 from .heads import HeadConfig
 from .metrics import joint_correct, las_uas, tag_accuracy
 from .model import BatchOutputs, Model
@@ -48,9 +40,6 @@ class TrainConfig:
     seed: int = 0
     folds: int = 10
     shuffle_stag: bool = False
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     def __post_init__(self):
         if self.batch_size < 1:
@@ -83,15 +72,16 @@ class TrainResult:
 
 def joint_loss(outputs: BatchOutputs, sentences: list, vocab: Vocabulary,
                mode: str) -> ad.Tensor:
-    """Sum of per-token cross-entropies over the mode's tasks.
+    """Sum of per-token cross-entropies over the tasks `MODE_TASKS[mode]`.
 
-    Head/label losses run over parser-family modes; tagging losses skip the
-    ROOT row by construction (outputs carry real tokens only).
+    Tagging losses skip the ROOT row by construction (outputs carry real
+    tokens only).
     """
     if [len(s) for s in outputs.sentences] != [len(s) for s in sentences]:
         raise ValueError("joint_loss: outputs and gold sentences are misaligned")
+    tasks = MODE_TASKS[mode]
     parts = []
-    if mode in PARSER_MODES:
+    if "arcs" in tasks:
         gold_heads = np.array([[t.head for t in s.tokens] for s in sentences])
         if gold_heads.shape != outputs.arc_scores.shape[:2]:
             raise ValueError("joint_loss: arc scores misaligned with sentences")
@@ -99,16 +89,14 @@ def joint_loss(outputs: BatchOutputs, sentences: list, vocab: Vocabulary,
         parts.append(ad.reduce_sum(ad.cross_entropy_with_logits(arc, gold_heads.ravel())))
         rel_ids = np.array([vocab.rel_id(t.rel) for s in sentences for t in s.tokens])
         parts.append(ad.reduce_sum(ad.cross_entropy_with_logits(outputs.label_logits, rel_ids)))
-    if mode in (MODE_POS, MODE_JOINT_POS_STAG):
-        pos_ids = np.array([vocab.pos_id(t.gold_pos) for s in sentences for t in s.tokens])
-        parts.append(ad.reduce_sum(ad.cross_entropy_with_logits(outputs.pos_logits, pos_ids)))
-    if mode in (MODE_STAG, MODE_JOINT_STAG, MODE_JOINT_POS_STAG):
-        for s in sentences:
-            for t in s.tokens:
-                if t.stag is None:
-                    raise ValueError("joint_loss: supertag targets missing")
-        stag_ids = np.array([vocab.stag_id(t.stag) for s in sentences for t in s.tokens])
-        parts.append(ad.reduce_sum(ad.cross_entropy_with_logits(outputs.stag_logits, stag_ids)))
+    for tag in TAGS:
+        if tag in tasks:
+            gold = [getattr(t, GOLD_FIELD[tag]) for s in sentences for t in s.tokens]
+            if None in gold:
+                raise ValueError(f"joint_loss: {tag} targets missing")
+            ids = np.array([vocab.tag_id(tag, name) for name in gold])
+            logits = getattr(outputs, f"{tag}_logits")
+            parts.append(ad.reduce_sum(ad.cross_entropy_with_logits(logits, ids)))
     total = parts[0]
     for p in parts[1:]:
         total = ad.add(total, p)
@@ -129,35 +117,30 @@ def make_batches(sentences: list, batch_size: int, rng: np.random.Generator) -> 
     return [batches[i] for i in batch_order]
 
 
-def evaluate_dev(model: Model, dev: list, gold: list | None = None) -> dict:
-    """Dropout-free predictions scored against gold annotations."""
-    gold = gold if gold is not None else dev
-    pred = model.predict(dev)
+def evaluate_dev(model: Model, gold: list) -> dict:
+    """Dropout-free predictions of `gold`'s sentences, scored against it."""
+    pred = model.predict(gold)
+    tasks = model.tasks
     metrics: dict = {}
-    if model.mode in PARSER_MODES:
-        uas, las = las_uas(pred, gold)
-        metrics["uas"], metrics["las"] = uas, las
-    if model.mode in (MODE_POS, MODE_JOINT_POS_STAG):
-        metrics["pos_acc"] = tag_accuracy(pred, gold, "pos")
-    if model.mode in (MODE_STAG, MODE_JOINT_STAG, MODE_JOINT_POS_STAG):
-        metrics["stag_acc"] = tag_accuracy(pred, gold, "stag")
-    if model.mode in (MODE_JOINT_STAG, MODE_JOINT_POS_STAG):
+    if "arcs" in tasks:
+        metrics["uas"], metrics["las"] = las_uas(pred, gold)
+    for tag in TAGS:
+        if tag in tasks:
+            metrics[f"{tag}_acc"] = tag_accuracy(pred, gold, tag)
+    if "arcs" in tasks and len(tasks) > 1:
         metrics["joint_correct"] = joint_correct(
-            pred, gold,
-            require_pos=model.mode == MODE_JOINT_POS_STAG,
-            require_stag=True,
-        )
+            pred, gold, require_pos="pos" in tasks, require_stag="stag" in tasks)
     return metrics
 
 
 def dev_criterion(mode: str, metrics: dict) -> float:
-    return {
-        MODE_POS: metrics.get("pos_acc", 0.0),
-        MODE_STAG: metrics.get("stag_acc", 0.0),
-        MODE_PARSER: metrics.get("las", 0.0),
-        MODE_JOINT_STAG: metrics.get("joint_correct", 0.0),
-        MODE_JOINT_POS_STAG: metrics.get("joint_correct", 0.0),
-    }[mode]
+    """The dev score that early stopping follows: the accuracy of a tagger's
+    column, LAS of the parser, and joint correctness of the joint modes."""
+    tasks = MODE_TASKS[mode]
+    if "arcs" not in tasks:
+        (tag,) = tasks
+        return metrics.get(f"{tag}_acc", 0.0)
+    return metrics.get("joint_correct" if len(tasks) > 1 else "las", 0.0)
 
 
 def train(train_corpus: list, dev_corpus: list, config: TrainConfig,
@@ -176,7 +159,7 @@ def train(train_corpus: list, dev_corpus: list, config: TrainConfig,
     if config.shuffle_stag:
         train_corpus = shuffle_stag_targets(train_corpus, seed=config.seed)
     model = Model(vocab, config.mode, enc_config, head_config, rng, pretrained)
-    state = AdamState(lr=config.lr, beta1=config.beta1, beta2=config.beta2, eps=config.eps)
+    state = AdamState(lr=config.lr)
     best_score, best_epoch, best_params = -np.inf, 0, None
     history, stall = [], 0
     for epoch in range(1, config.max_epochs + 1):
@@ -232,15 +215,15 @@ def fold_spans(n: int, k: int) -> list:
 
 
 def jackknife(corpus: list, config: TrainConfig, enc_config: EncoderConfig,
-              head_config: HeadConfig | None = None, k: int | None = None) -> tuple:
+              head_config: HeadConfig | None = None) -> tuple:
     """Predict tags for every sentence with a model never trained on its fold.
 
-    Fold f is predicted by a model trained on k-2 folds that early-stops on
-    fold f+1 (wrapping around). Returns (corpus copy with predictions filled,
-    provenance records). Order is preserved; `config.mode` decides whether
-    predicted POS or supertags are written.
+    With k = `config.folds`, fold f is predicted by a model trained on k-2
+    folds that early-stops on fold f+1 (wrapping around). Returns (corpus
+    copy with predictions filled, provenance records). Order is preserved;
+    the tag columns that `config.mode` predicts are written.
     """
-    k = k if k is not None else config.folds
+    k = config.folds
     if k < 3:
         raise ValueError("jackknife: need k >= 3 folds (predict, early-stop, train)")
     if len(corpus) < k:
@@ -248,6 +231,7 @@ def jackknife(corpus: list, config: TrainConfig, enc_config: EncoderConfig,
     spans = fold_spans(len(corpus), k)
     out = [s.copy() for s in corpus]
     provenance = []
+    columns = [PRED_FIELD[tag] for tag in TAGS if tag in MODE_TASKS[config.mode]]
     for f, (lo, hi) in enumerate(spans):
         held_out = corpus[lo:hi]
         dev_fold = (f + 1) % k
@@ -257,12 +241,9 @@ def jackknife(corpus: list, config: TrainConfig, enc_config: EncoderConfig,
         pred = result.model.predict(held_out)
         for offset, sent in enumerate(pred):
             idx = lo + offset
-            if config.mode == MODE_POS:
-                for tok, p in zip(out[idx].tokens, sent.tokens):
-                    tok.pred_pos = p.pred_pos
-            else:
-                for tok, p in zip(out[idx].tokens, sent.tokens):
-                    tok.stag = p.stag
+            for tok, p in zip(out[idx].tokens, sent.tokens):
+                for column in columns:
+                    setattr(tok, column, getattr(p, column))
             provenance.append(FoldProvenance(idx, f, f, trained_on))
     return out, provenance
 

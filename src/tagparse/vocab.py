@@ -16,6 +16,7 @@ ROOT = "<root>"
 
 # deep syntactic roles of substitution sites plus co-head and adjunct labels
 BASE_RELATIONS = ["0", "1", "2", "3", "4", "CO", "adj"]
+_TAG_TABLES = {"pos": "pos", "stag": "stags"}  # the inventory attribute of each tag column
 
 
 class Vocabulary:
@@ -56,11 +57,13 @@ class Vocabulary:
         unk = self.chars[UNK]
         return [self.chars.get(ch, unk) for ch in form]
 
-    def pos_id(self, tag: str) -> int:
-        return self.pos.get(tag, self.pos[UNK])
+    def tags(self, column: str) -> dict:
+        """The inventory of a tag column, "pos" or "stag"."""
+        return getattr(self, _TAG_TABLES[column])
 
-    def stag_id(self, tag: str) -> int:
-        return self.stags.get(tag, self.stags[UNK])
+    def tag_id(self, column: str, tag: str) -> int:
+        table = self.tags(column)
+        return table.get(tag, table[UNK])
 
     def rel_id(self, label: str) -> int:
         if label not in self.rels:

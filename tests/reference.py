@@ -80,11 +80,11 @@ def encode_tokens(sentence, mode: str, params: dict, vocab, config) -> Tensor:
                                      np.array([vocab.word_id(tok.form)]))]
         if "emb.pos" in params:
             parts.append(ad.embedding_lookup(params["emb.pos"],
-                                             np.array([vocab.pos_id(_token_pos(tok))])))
+                                             np.array([vocab.tag_id("pos", _token_pos(tok))])))
         if "emb.stag" in params:
             stag = tok.stag if tok.stag is not None else ""
             parts.append(ad.embedding_lookup(params["emb.stag"],
-                                             np.array([vocab.stag_id(stag)])))
+                                             np.array([vocab.tag_id("stag", stag)])))
         char_vec = char_cnn(vocab.char_ids(tok.form), params["emb.char"],
                             params["cnn.filters"], params["cnn.bias"])
         parts.append(ad.reshape(char_vec, (1, -1)))
@@ -127,11 +127,10 @@ def stepwise_bilstm_stack(inputs: Tensor, params: dict, config, masks: dict | No
     masks = masks or {}
     if "input" in masks:
         inputs = ad.dropout_with_mask(inputs, masks["input"])
-    in_fw = in_bw = inputs
     layer_out = None
     for layer in range(config.layers):
         outs = {}
-        for direction, stream in (("fw", in_fw), ("bw", in_bw)):
+        for direction in ("fw", "bw"):
             prefix = f"lstm.{layer}.{direction}."
             h = Tensor(np.zeros((batch, config.hidden)))
             c = Tensor(np.zeros((batch, config.hidden)))
@@ -139,24 +138,15 @@ def stepwise_bilstm_stack(inputs: Tensor, params: dict, config, masks: dict | No
             steps = range(seq_len) if direction == "fw" else range(seq_len - 1, -1, -1)
             collected = [None] * seq_len
             for t in steps:
-                x_t = ad.reshape(ad.slice_axis(stream, 1, t, t + 1), (batch, -1))
+                x_t = ad.reshape(ad.slice_axis(inputs, 1, t, t + 1), (batch, -1))
                 h_in = ad.dropout_with_mask(h, rec_mask) if rec_mask is not None else h
                 h, c = lstm_cell(x_t, h_in, c, params, prefix)
                 collected[t] = ad.reshape(h, (batch, 1, config.hidden))
             outs[direction] = ad.concat(collected, axis=1)
         layer_out = ad.concat([outs["fw"], outs["bw"]], axis=2)
-        if layer < config.layers - 1:
-            layer_mask = masks.get(("layer", layer))
-            if config.final_concat_only:
-                in_fw, in_bw = outs["fw"], outs["bw"]
-                if layer_mask is not None:
-                    in_fw = ad.dropout_with_mask(in_fw, layer_mask)
-                    in_bw = ad.dropout_with_mask(in_bw, layer_mask)
-            else:
-                nxt = layer_out
-                if layer_mask is not None:
-                    nxt = ad.dropout_with_mask(nxt, layer_mask)
-                in_fw = in_bw = nxt
+        inputs = layer_out
+        if layer < config.layers - 1 and ("layer", layer) in masks:
+            inputs = ad.dropout_with_mask(layer_out, masks[("layer", layer)])
     return layer_out
 
 

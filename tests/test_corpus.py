@@ -1,5 +1,6 @@
 """Corpus format round trips and error reporting."""
 
+import numpy as np
 import pytest
 
 from tagparse.corpus import (
@@ -9,7 +10,7 @@ from tagparse.corpus import (
     read_corpus,
     write_corpus,
 )
-from tagparse.synthetic import random_tree_corpus
+from tagparse.synthetic import make_corpus, random_tree_corpus
 
 TWO_SENTENCES = """1\tthe\tDT\t_\ttD\t2\tadj
 2\tdog\tNN\t_\ttN\t3\t0
@@ -55,8 +56,45 @@ def test_round_trip_on_random_corpora(tmp_path):
         ("1\tdog\tNN\t_\ttN\tx\t0\n", 1),  # non-integer head
         ("2\tdog\tNN\t_\ttN\t0\tadj\n", 1),  # wrong index
         ("1\ta\tDT\t_\ttD\t2\tadj\n1\tb\tNN\t_\ttN\t0\t0\n", 2),  # out of order
+        ("1\tthe\tDT\t_\t_\t2\tadj\n2\tdog\tNN\t_\t_\t9\t0\n", 2),  # head past the end
+        # head past the end of a sentence that a blank line closes
+        ("1\tthe\tDT\t_\t_\t3\tadj\n2\tdog\tNN\t_\t_\t0\t0\n\n1\tx\tNN\t_\t_\t0\t0\n", 1),
+        ("1\tthe\tDT\t_\t_\t2\tadj\n2\tdog\tNN\t_\t_\t2\t0\n", 2),  # its own head
+        ("1\tdog\tNN\t_\t_\t1\t0\n", 1),  # its own head in a 1-token sentence
     ],
 )
 def test_malformed_lines_name_line_number(bad, line):
     with pytest.raises(CorpusFormatError, match=f":{line}:"):
         parse_corpus(bad)
+
+
+def _vary_optional_columns(corpus, rng, fill: bool) -> list:
+    """Copies with predicted POS and supertags set on some tokens (`fill`) or
+    blanked to `_` on some tokens."""
+    out = []
+    for sent in corpus:
+        copy = sent.copy()
+        for tok in copy.tokens:
+            if rng.random() < 0.5:
+                if fill:
+                    tok.pred_pos = str(rng.choice(["NN", "DT", "VBD", "IN"]))
+                else:
+                    tok.pred_pos = None
+            if rng.random() < 0.5:
+                tok.stag = str(rng.choice(["tN", "tVt", "tP-x"])) if fill else None
+        out.append(copy)
+    return out
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("source", ["random_tree_corpus", "make_corpus"])
+@pytest.mark.parametrize("columns", ["as-made", "filled", "blanked"])
+def test_parse_inverts_format(source, columns, seed):
+    make = {"random_tree_corpus": random_tree_corpus, "make_corpus": make_corpus}[source]
+    corpus = make(20, seed=seed)
+    if columns != "as-made":
+        corpus = _vary_optional_columns(corpus, np.random.default_rng(seed),
+                                        fill=columns == "filled")
+    text = format_corpus(corpus)
+    assert parse_corpus(text) == corpus
+    assert format_corpus(parse_corpus(text)) == text

@@ -228,7 +228,7 @@ def stack_params(rng, config, in_dim):
         for direction in ("fw", "bw"):
             init_lstm_params(rng, dim, config.hidden, config.highway,
                              f"lstm.{layer}.{direction}", params)
-        dim = config.hidden if config.final_concat_only else 2 * config.hidden
+        dim = 2 * config.hidden
     return params
 
 
@@ -303,31 +303,6 @@ class TestBilstmStack:
              for k in params if ".fw." in k}
         want_h, _ = lstm_oracle(x[0], np.zeros(4), np.zeros(4), p)
         np.testing.assert_allclose(out[0, :4], want_h, atol=1e-12)
-
-    def test_final_concat_wiring_matches_reference(self):
-        config = EncoderConfig(hidden=3, layers=2, highway=False, dropout_input=0,
-                               dropout_layer=0, dropout_recurrent=0,
-                               final_concat_only=True)
-        rng = np.random.default_rng(16)
-        params = stack_params(rng, config, 4)
-        x = rng.normal(size=(5, 4))
-        out = run_stack(x, params, config)
-
-        def run_dir(seq, prefix):
-            p = {k.split(".")[-1]: params[f"{prefix}.{k.split('.')[-1]}"].value
-                 for k in params if k.startswith(prefix + ".")}
-            h, c = np.zeros(3), np.zeros(3)
-            hs = []
-            for row in seq:
-                h, c = lstm_oracle(row, h, c, p)
-                hs.append(h)
-            return np.array(hs)
-
-        fw1 = run_dir(x, "lstm.0.fw")
-        bw1 = run_dir(x[::-1], "lstm.0.bw")[::-1]
-        fw2 = run_dir(fw1, "lstm.1.fw")
-        bw2 = run_dir(bw1[::-1], "lstm.1.bw")[::-1]
-        np.testing.assert_allclose(out, np.concatenate([fw2, bw2], axis=1), atol=1e-12)
 
     def test_batched_equals_per_sentence(self):
         config = EncoderConfig(hidden=4, layers=2, highway=True, dropout_input=0,
@@ -480,12 +455,9 @@ class TestGateStacks:
 @pytest.mark.parametrize("masked", [False, True], ids=["no-masks", "masks"])
 @pytest.mark.parametrize("seq_len", [1, 7])
 @pytest.mark.parametrize("layers", [1, 2])
-@pytest.mark.parametrize("final_concat_only", [False, True], ids=["concat", "final-concat"])
 @pytest.mark.parametrize("highway", [False, True], ids=["lstm", "highway"])
-def test_fused_stack_matches_stepwise_oracle(highway, final_concat_only, layers, seq_len,
-                                             masked):
-    config = EncoderConfig(hidden=4, layers=layers, highway=highway,
-                           final_concat_only=final_concat_only, dropout_input=0.3,
+def test_fused_stack_matches_stepwise_oracle(highway, layers, seq_len, masked):
+    config = EncoderConfig(hidden=4, layers=layers, highway=highway, dropout_input=0.3,
                            dropout_layer=0.3, dropout_recurrent=0.3)
     rng = np.random.default_rng(20)
     params = stack_params(rng, config, 3)

@@ -36,16 +36,16 @@ def arc_probs(feats, params):
     return ad.softmax(Tensor(sentence_arc_scores(feats, params)), axis=-1).value
 
 
-def label_pair_logits(feats, deps, heads, params, uses_dep=False):
+def label_pair_logits(feats, deps, heads, params):
     """Relation scores for the arcs heads[k] -> deps[k] of one sentence."""
     return label_logits_pairs(ad.embedding_lookup(feats.rel_dep, np.asarray(deps)),
                               ad.embedding_lookup(feats.rel_head, np.asarray(deps)),
                               ad.embedding_lookup(feats.rel_head, np.asarray(heads)),
-                              params, uses_dep)
+                              params)
 
 
-def label_probs(feats, deps, heads, params, uses_dep=False):
-    return ad.softmax(label_pair_logits(feats, deps, heads, params, uses_dep), axis=-1).value
+def label_probs(feats, deps, heads, params):
+    return ad.softmax(label_pair_logits(feats, deps, heads, params), axis=-1).value
 
 
 def make_feats(rng, n_plus_1, d_arc=None, d_rel=None, d_pos=None, d_stag=None):
@@ -177,9 +177,8 @@ class TestLabelScores:
         params = self.make_params(rng, 4, 3)
         assert abs(label_probs(feats, [2], [4], params).sum() - 1.0) < 1e-9
 
-    @pytest.mark.parametrize("uses_dep", [False, True])
     @pytest.mark.parametrize("trial", range(5))
-    def test_matches_triple_loop_oracle(self, uses_dep, trial):
+    def test_matches_triple_loop_oracle(self, trial):
         rng = np.random.default_rng(30 + trial)
         d_rel, r = 4, 3
         feats = make_feats(rng, 5, d_rel=d_rel)
@@ -189,7 +188,7 @@ class TestLabelScores:
         RD, RH = feats.rel_dep.value, feats.rel_head.value
         deps = [1, 2, 3, 4]
         heads = [(i + 1) % 5 for i in deps]
-        got = label_probs(feats, deps, heads, params, uses_dep)
+        got = label_probs(feats, deps, heads, params)
         for i, p_i in zip(deps, heads):
             scores = np.zeros(r)
             for k in range(r):
@@ -197,13 +196,11 @@ class TestLabelScores:
                 for a in range(d_rel):
                     for c in range(d_rel):
                         bilinear += RH[p_i, a] * U[a, c, k] * RD[i, c]
-                first = RD[i] if uses_dep else RH[i]
-                scores[k] = bilinear + W[k] @ (first + RH[p_i]) + b[k]
+                scores[k] = bilinear + W[k] @ (RH[i] + RH[p_i]) + b[k]
             want = softmax_np(scores)
             np.testing.assert_allclose(got[i - 1], want, atol=1e-12, rtol=0)
 
-    @pytest.mark.parametrize("uses_dep", [False, True])
-    def test_gradients_match_finite_differences(self, uses_dep):
+    def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(60)
         d_rel, r = 4, 3
         feats = make_feats(rng, 5, d_rel=d_rel)
@@ -214,7 +211,7 @@ class TestLabelScores:
         weights = Tensor(rng.normal(size=(len(deps), r)))
 
         def loss():
-            logits = label_pair_logits(feats, deps, heads, params, uses_dep)
+            logits = label_pair_logits(feats, deps, heads, params)
             return ad.reduce_sum(ad.mul(logits, weights))
 
         grads = ad.gradients(loss(), params)

@@ -8,7 +8,8 @@ from reference import encode_tokens
 import tagparse.autodiff as ad
 import tagparse.model as tm
 from tagparse.decoder import is_valid_tree
-from tagparse.encoder import GATES, EncoderConfig, bilstm_stack
+from tagparse.encoder import (GATES, MODE_TASKS, PARSER_MODES, TAGS, EncoderConfig,
+                              bilstm_stack)
 from tagparse.heads import HeadConfig
 from tagparse.model import Model
 from tagparse.serialize import FormatError, load_tensors, save_tensors
@@ -186,9 +187,22 @@ def test_load_rejects_tensors_that_do_not_fit_the_config(tmp_path, joint_model, 
     (lambda m: m.update(encoder=[]), "metadata 'encoder' is list, not an object"),
     (lambda m: m.update(vocab="{}"), "metadata 'vocab' is malformed"),
     (lambda m: m["encoder"].update(char_width=4), "'encoder': EncoderConfig.char_width must be odd"),
+    # a mode may not read the gold value of a column it predicts
+    (lambda m: m.update(mode="joint-stag") or m["encoder"].update(use_stag_input=True),
+     "'joint-stag' predicts the stag column, so it cannot read it: use_stag_input"),
+    (lambda m: m["encoder"].update(use_stag_input=True), "use_stag_input must be False"),
+    (lambda m: m["encoder"].update(use_pos_input=True), "use_pos_input must be False"),
+    # removed fields load only at the value the code now always uses
+    (lambda m: m["encoder"].update(final_concat_only=True),
+     "'final_concat_only' is True; the field is removed and loads only as False"),
+    (lambda m: m["heads"].update(label_on_gold_heads=False), "'label_on_gold_heads' is False"),
+    (lambda m: m["heads"].update(rel_affine_uses_dep=True), "field 'rel_affine_uses_dep' is True"),
+    (lambda m: m["heads"].update(rel_affine_uses_dep=0), "field 'rel_affine_uses_dep' is 0"),
 ], ids=["no-vocab", "no-mode", "no-encoder", "no-heads", "mode", "encoder-field",
         "heads-field", "str-int", "float-int", "bool-int", "int-bool", "none-float",
-        "range", "not-object", "vocab", "even-char-width"])
+        "range", "not-object", "vocab", "even-char-width", "joint-stag-reads-stag",
+        "joint-pos-stag-reads-stag", "joint-pos-stag-reads-pos", "removed-final-concat",
+        "removed-label-on-gold", "removed-uses-dep", "removed-as-int"])
 def test_load_rejects_bad_metadata(tmp_path, joint_model, edit, message):
     path = tmp_path / "model.tpt"
     joint_model.save(path)
@@ -275,3 +289,58 @@ def test_gradients_flow_to_every_parameter(corpus):
         if key.startswith(("lstm.", "mlp.", "biaffine.", "rel.", "out.", "cnn.")):
             assert np.any(grads[key] != 0), f"no gradient reached {key}"
     assert "emb.word" in nonzero
+
+
+@pytest.mark.parametrize("mode, inputs", [
+    ("joint-stag", dict(use_stag_input=True)),
+    ("joint-pos-stag", dict(use_stag_input=True)),
+    ("joint-pos-stag", dict(use_pos_input=True)),
+], ids=["joint-stag-reads-stag", "joint-pos-stag-reads-stag", "joint-pos-stag-reads-pos"])
+def test_a_mode_cannot_read_a_column_it_predicts(corpus, mode, inputs):
+    (flag,) = inputs
+    with pytest.raises(ValueError, match=f"{flag} must be False"):
+        Model(Vocabulary.from_corpus(corpus), mode, tiny_enc(**inputs), tiny_heads(),
+              np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("key, name, fixed", [
+    ("encoder", "final_concat_only", False),
+    ("heads", "label_on_gold_heads", True),
+    ("heads", "rel_affine_uses_dep", False),
+])
+def test_removed_config_fields_load_at_their_fixed_value(tmp_path, corpus, joint_model,
+                                                         key, name, fixed):
+    path = tmp_path / "model.tpt"
+    joint_model.save(path)
+    tensors, meta = load_tensors(path)
+    meta[key][name] = fixed
+    save_tensors(path, tensors, meta)
+    loaded = Model.load(path)
+    assert not hasattr(getattr(loaded, "enc_config" if key == "encoder" else "head_config"),
+                       name)
+    a, b = joint_model.predict(corpus[:4]), loaded.predict(corpus[:4])
+    assert ([[(t.head, t.rel, t.pred_pos, t.stag) for t in s.tokens] for s in a]
+            == [[(t.head, t.rel, t.pred_pos, t.stag) for t in s.tokens] for s in b])
+
+
+@pytest.mark.parametrize("mode", ["pos-tagger", "supertagger", "parser", "joint-stag",
+                                  "joint-pos-stag"])
+def test_parameters_and_outputs_follow_the_mode_table(corpus, mode):
+    model = Model(Vocabulary.from_corpus(corpus), mode, tiny_enc(), tiny_heads(),
+                  np.random.default_rng(5))
+    tasks = MODE_TASKS[mode]
+    assert model.with_root == (mode in PARSER_MODES) == ("arcs" in tasks)
+    assert ("biaffine.W_arc" in model.params) == ("arcs" in tasks)
+    for tag in TAGS:
+        assert (f"out.{tag}.W" in model.params) == (tag in tasks)
+        assert (f"emb.{tag}" in model.params) == (mode == "supertagger" and tag == "pos")
+    bucket = [s for s in corpus if len(s) == len(corpus[0])]
+    out = model.forward(bucket)
+    assert (out.arc_scores is not None) == ("arcs" in tasks)
+    assert (out.pos_logits is not None) == ("pos" in tasks)
+    assert (out.stag_logits is not None) == ("stag" in tasks)
+    for orig, sent in zip(bucket, model.predict(bucket)):
+        for t_orig, t in zip(orig.tokens, sent.tokens):
+            assert (t.pred_pos != t_orig.pred_pos) == ("pos" in tasks)
+            if "arcs" not in tasks:
+                assert (t.head, t.rel) == (t_orig.head, t_orig.rel)

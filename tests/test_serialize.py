@@ -77,3 +77,26 @@ def test_malformed_container_raises_format_error(tmp_path, blob):
     path.write_bytes(blob)
     with pytest.raises(FormatError):
         load_tensors(path)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_round_trip_keeps_names_shapes_dtypes_and_metadata(tmp_path, seed):
+    rng = np.random.default_rng(seed)
+    tensors = {}
+    for k in range(int(rng.integers(1, 7))):
+        shape = tuple(int(d) for d in rng.integers(0, 4, size=rng.integers(0, 4)))
+        dtype = np.float32 if rng.random() < 0.5 else np.float64
+        tensors[f"t{k}.{rng.integers(100)}"] = rng.normal(size=shape).astype(dtype)
+    tensors["empty"] = np.zeros((3, 0, 2), dtype=np.float32)  # a zero-size dimension
+    meta = {"mode": "joint-pos-stag", "seed": seed, "lr": float(rng.random()),
+            "flags": [True, False, None], "nested": {"é": "ü", "dims": [1, 2, 3]}}
+    path = tmp_path / "t.tpt"
+    save_tensors(path, tensors, meta)
+    loaded, got_meta = load_tensors(path)
+    assert got_meta == meta
+    assert list(loaded) == list(tensors)
+    for name, want in tensors.items():
+        got = loaded[name]
+        assert got.shape == want.shape, name
+        assert got.dtype == want.dtype, name
+        np.testing.assert_array_equal(got, want, err_msg=name)

@@ -92,10 +92,10 @@ class TestJointLoss:
                 r[vocab.rel_id(tok.rel)] = big
                 rel_rows.append(r)
                 p = np.zeros(vocab.n_pos)
-                p[vocab.pos_id(tok.gold_pos)] = big
+                p[vocab.tag_id("pos", tok.gold_pos)] = big
                 pos_rows.append(p)
                 t = np.zeros(vocab.n_stags)
-                t[vocab.stag_id(tok.stag)] = big
+                t[vocab.tag_id("stag", tok.stag)] = big
                 stag_rows.append(t)
         fake = M.BatchOutputs(sentences=bucket, arc_scores=ad.Tensor(np.stack(arc)),
                               label_logits=ad.Tensor(np.array(rel_rows)),
@@ -118,8 +118,8 @@ class TestJointLoss:
             for i, tok in enumerate(s.tokens):
                 want += ce(outs.arc_scores.value[b, i], tok.head)
                 want += ce(outs.label_logits.value[tok_pos], vocab.rel_id(tok.rel))
-                want += ce(outs.pos_logits.value[tok_pos], vocab.pos_id(tok.gold_pos))
-                want += ce(outs.stag_logits.value[tok_pos], vocab.stag_id(tok.stag))
+                want += ce(outs.pos_logits.value[tok_pos], vocab.tag_id("pos", tok.gold_pos))
+                want += ce(outs.stag_logits.value[tok_pos], vocab.tag_id("stag", tok.stag))
                 tok_pos += 1
         got = float(joint_loss(outs, bucket, vocab, "joint-pos-stag").value)
         np.testing.assert_allclose(got, want, atol=1e-10)
@@ -285,7 +285,7 @@ class TestJackknife:
         with pytest.raises(ValueError):
             jackknife(corpus[:1], cfg, tiny_enc(), tiny_heads())
         with pytest.raises(ValueError):
-            jackknife(corpus, cfg, tiny_enc(), tiny_heads(), k=1)
+            jackknife(corpus, TrainConfig(mode="supertagger", folds=1), tiny_enc(), tiny_heads())
         with pytest.raises(ValueError, match="k >= 3"):
             jackknife(corpus, cfg, tiny_enc(), tiny_heads())
 
@@ -312,3 +312,37 @@ class TestShuffleStags:
         single = [type(corpus[0])(corpus[0].tokens[:1])]
         out = shuffle_stag_targets(single, seed=1)
         assert out[0].tokens[0].stag == single[0].tokens[0].stag
+
+
+@pytest.mark.parametrize("mode, inputs, tables", [
+    ("parser", dict(use_pos_input=True, use_stag_input=True), {"emb.pos", "emb.stag"}),
+    ("joint-stag", dict(use_pos_input=True), {"emb.pos"}),
+], ids=["parser-reads-pos-and-stag", "joint-stag-reads-pos"])
+def test_modes_read_the_columns_they_do_not_predict(corpus, mode, inputs, tables):
+    cfg = TrainConfig(mode=mode, batch_size=8, patience=1, max_epochs=2, seed=0)
+    result = train(corpus, corpus, cfg, tiny_enc(**inputs), tiny_heads())
+    model = result.model
+    assert {"emb.pos", "emb.stag"} & set(model.params) == tables
+    assert all(np.isfinite(r.train_loss) for r in result.history)
+    assert model.enc_config.input_dim(mode) == 6 + 5 + 4 * len(tables)
+    for sent in model.predict(corpus[:4]):
+        assert all(t.head != i for i, t in enumerate(sent.tokens, start=1))
+
+
+@pytest.mark.parametrize("mode, keys, criterion", [
+    ("pos-tagger", ["pos_acc"], "pos_acc"),
+    ("supertagger", ["stag_acc"], "stag_acc"),
+    ("parser", ["uas", "las"], "las"),
+    ("joint-stag", ["uas", "las", "stag_acc", "joint_correct"], "joint_correct"),
+    ("joint-pos-stag", ["uas", "las", "pos_acc", "stag_acc", "joint_correct"],
+     "joint_correct"),
+])
+def test_dev_metrics_and_criterion_of_each_mode(corpus, mode, keys, criterion):
+    model = Model(Vocabulary.from_corpus(corpus), mode, tiny_enc(), tiny_heads(),
+                  np.random.default_rng(3))
+    metrics = training.evaluate_dev(model, corpus[:6])
+    assert list(metrics) == keys
+    scores = {key: float(k) for k, key in enumerate(keys, start=1)}
+    assert training.dev_criterion(mode, scores) == scores[criterion]
+    assert training.dev_criterion(mode, {}) == 0.0
+
