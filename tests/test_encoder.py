@@ -455,7 +455,8 @@ class TestGateStacks:
 @pytest.mark.parametrize("masked", [False, True], ids=["no-masks", "masks"])
 @pytest.mark.parametrize("seq_len", [1, 7])
 @pytest.mark.parametrize("layers", [1, 2])
-@pytest.mark.parametrize("highway", [False, True], ids=["lstm", "highway"])
+# "concat": each layer's fw and bw outputs are concatenated before the next layer reads them.
+@pytest.mark.parametrize("highway", [False, True], ids=["lstm-concat", "highway-concat"])
 def test_fused_stack_matches_stepwise_oracle(highway, layers, seq_len, masked):
     config = EncoderConfig(hidden=4, layers=layers, highway=highway, dropout_input=0.3,
                            dropout_layer=0.3, dropout_recurrent=0.3)
