@@ -14,11 +14,16 @@ not already an arborescence, applies two deterministic repairs:
 
 Ties break toward the smallest token index, then the smallest head index.
 
-`chu_liu_edmonds` is the exact decoder: one Chu-Liu/Edmonds pass (greedy
-heads, contract a cycle, solve the smaller graph, expand) over the scores
-with a penalty on every ROOT arc larger than the gap between any two trees,
-so the best tree it finds has exactly one ROOT child. -inf scores become a
-smaller penalty, so it always returns a tree, with as few -inf arcs as any.
+`chu_liu_edmonds` is the exact decoder. When the greedy heads already form
+a single-rooted tree it returns them: no head assignment scores higher, and
+only a token with no finite head takes a -inf arc. Otherwise it runs one
+Chu-Liu/Edmonds pass (greedy heads, contract a cycle, solve the smaller
+graph, expand) over the scores with a penalty on every ROOT arc larger than
+the gap between any two trees, so the best tree it finds has exactly one
+ROOT child. -inf scores become a smaller penalty, so it always returns a
+tree, with as few -inf arcs as any. On exact ties the first path takes the
+smallest head index, as `greedy_heads` does; the second may pick another
+tree of the same score.
 """
 
 from __future__ import annotations
@@ -43,8 +48,8 @@ NEG_INF = -np.inf
 class ScoreMatrix:
     """Log-probability of head j for dependent i: row i-1, column j (0 = ROOT).
 
-    Self-head entries are forced to -inf on construction. A NaN entry raises
-    ValueError; -inf entries (zero probabilities) are accepted.
+    Self-head entries are forced to -inf on construction. A NaN or +inf
+    entry raises ValueError; -inf entries (zero probabilities) are accepted.
     """
 
     log_probs: np.ndarray
@@ -53,10 +58,11 @@ class ScoreMatrix:
         arr = np.array(self.log_probs, dtype=np.float64)
         if arr.ndim != 2 or arr.shape[1] != arr.shape[0] + 1:
             raise ValueError(f"ScoreMatrix: expected [n, n+1], got {arr.shape}")
-        nan = np.argwhere(np.isnan(arr))
-        if len(nan):
-            i, j = nan[0]
-            raise ValueError(f"ScoreMatrix: NaN score for dependent {i + 1}, head {j}")
+        bad = ~(arr < np.inf)  # NaN or +inf
+        if bad.any():
+            i, j = np.argwhere(bad)[0]
+            name = "NaN" if np.isnan(arr[i, j]) else "+inf"
+            raise ValueError(f"ScoreMatrix: {name} score for dependent {i + 1}, head {j}")
         for i in range(arr.shape[0]):
             arr[i, i + 1] = NEG_INF
         self.log_probs = arr
@@ -82,6 +88,7 @@ def greedy_heads(sm: ScoreMatrix) -> np.ndarray:
 
 
 def _reachable(heads: np.ndarray) -> set:
+    heads = heads.tolist()  # the walk reads one head at a time: Python ints are faster
     n = len(heads) - 1
     reach = set()
     for i in range(1, n + 1):
@@ -123,7 +130,7 @@ def is_valid_tree(heads: np.ndarray) -> bool:
         return False
     if int(np.sum(body == 0)) != 1:
         return False
-    if any(heads[i] == i for i in range(1, n + 1)):
+    if np.any(body == np.arange(1, n + 1)):
         return False
     return len(_reachable(heads)) == n
 
@@ -212,14 +219,20 @@ def _max_arborescence(scores: np.ndarray) -> np.ndarray:
 def chu_liu_edmonds(sm: ScoreMatrix) -> np.ndarray:
     """Maximum-scoring arborescence with exactly one ROOT child.
 
-    One `_max_arborescence` pass over a dense copy of the scores in which a
-    -inf arc costs more than any finite choice gains, and every ROOT arc
-    costs more again, so that fewer ROOT children always win. The result is
-    the best single-rooted tree with the fewest -inf arcs.
+    The greedy heads are returned as they are when they form such a tree:
+    each token has its best head, so no tree scores higher. On exact ties
+    they hold the smallest head index. Otherwise one `_max_arborescence`
+    pass runs over a dense copy of the scores in which a -inf arc costs
+    more than any finite choice gains, and every ROOT arc costs more again,
+    so that fewer ROOT children always win. Either way the result is the
+    best single-rooted tree with the fewest -inf arcs.
     """
     n = sm.n
     if n == 0:
         raise ValueError("chu_liu_edmonds: empty sentence")
+    heads = greedy_heads(sm)
+    if is_valid_tree(heads):
+        return heads
     logp = sm.log_probs
     finite = np.isfinite(logp)
     lo, hi = (logp[finite].min(), logp[finite].max()) if finite.any() else (0.0, 0.0)

@@ -207,8 +207,7 @@ def init_encoder_params(rng, vocab: Vocabulary, config: EncoderConfig, mode: str
     return params
 
 
-def char_cnn(words, char_emb: Tensor, filters: Tensor, bias: Tensor,
-             pad_id: int = 0) -> Tensor:
+def char_cnn(words, char_emb: Tensor, filters: Tensor, bias: Tensor) -> Tensor:
     """Character vectors [U, F] of U words: embed -> width-w conv -> max over time.
 
     `words` holds one list of char ids per word. Each word is padded with
@@ -229,7 +228,7 @@ def char_cnn(words, char_emb: Tensor, filters: Tensor, bias: Tensor,
         u = int(np.argmin(windows))
         raise ad.ShapeError(f"char_cnn: word {u} has {lengths[u]} characters,"
                             f" too few for filter width {width}")
-    ids = np.full((len(words), lengths.max() + 2 * side), pad_id, dtype=np.int64)
+    ids = np.zeros((len(words), lengths.max() + 2 * side), dtype=np.int64)  # 0 is the PAD char
     for u, chars in enumerate(words):
         ids[u, side : side + len(chars)] = chars
     conv = ad.add(ad.conv1d(ad.embedding_lookup(char_emb, ids), filters), bias)  # [U, P, F]

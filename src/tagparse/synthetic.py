@@ -72,8 +72,7 @@ def _noun_phrase(rng, tokens, head_slot, noun_class):
     return noun_idx
 
 
-def make_corpus(n_sentences: int, seed: int, structure_seed: int = 77,
-                pp_rate: float = 0.8, trans_rate: float = 0.6) -> list:
+def make_corpus(n_sentences: int, seed: int, structure_seed: int = 77) -> list:
     """Sentences with subject/verb(/object)(/PP) structure and gold columns."""
     rng = np.random.default_rng(seed)
     noun_class, prep_class = _latent_classes(structure_seed)
@@ -81,7 +80,7 @@ def make_corpus(n_sentences: int, seed: int, structure_seed: int = 77,
     for _ in range(n_sentences):
         tokens: list = []
         subj_idx = _noun_phrase(rng, tokens, head_slot=0, noun_class=noun_class)
-        transitive = rng.random() < trans_rate
+        transitive = rng.random() < 0.6
         verb_idx = len(tokens) + 1
         cat = "verb_t" if transitive else "verb_i"
         tokens.append(Token(form=rng.choice(GRAMMAR[cat]), gold_pos=POS[cat],
@@ -94,7 +93,7 @@ def make_corpus(n_sentences: int, seed: int, structure_seed: int = 77,
                                    noun_class=noun_class)
             tokens[obj_idx - 1].head = verb_idx
             tokens[obj_idx - 1].rel = "1"
-        if rng.random() < pp_rate:
+        if rng.random() < 0.8:
             prep = rng.choice(GRAMMAR["prep"])
             prep_idx = len(tokens) + 1
             if obj_idx is not None:

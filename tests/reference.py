@@ -28,8 +28,7 @@ def tanh(a: Tensor) -> Tensor:
     return Tensor(out, parents=(a,), op="tanh", backward=lambda g: (g * (1.0 - out * out),))
 
 
-def char_cnn(char_ids, char_emb: Tensor, filters: Tensor, bias: Tensor,
-             pad_id: int = 0) -> Tensor:
+def char_cnn(char_ids, char_emb: Tensor, filters: Tensor, bias: Tensor) -> Tensor:
     """Character vector [F] of one word: embed -> width-w conv -> max over time.
 
     The word is padded with (w-1)//2 PAD characters on each side, so the
@@ -39,7 +38,7 @@ def char_cnn(char_ids, char_emb: Tensor, filters: Tensor, bias: Tensor,
     if not ids:
         raise ValueError("char_cnn: empty word")
     width = filters.shape[0]
-    pad = [pad_id] * ((width - 1) // 2)
+    pad = [0] * ((width - 1) // 2)  # the PAD char id
     emb = ad.embedding_lookup(char_emb, np.array(pad + ids + pad, dtype=np.int64))
     conv = ad.add(ad.conv1d(emb, filters), bias)
     return ad.max_over_axis(conv, axis=0)

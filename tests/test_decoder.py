@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
+import tagparse.decoder as decoder
 from tagparse.decoder import (
     ScoreMatrix,
     assign_labels,
@@ -47,6 +48,40 @@ def random_matrix(rng, n, zero_share=0.0):
     return ScoreMatrix(logp)
 
 
+def random_tree(rng, n):
+    """Head vector [-1, h1..hn] of a random single-rooted tree."""
+    order = rng.permutation(n) + 1
+    heads = np.full(n + 1, -1, dtype=np.int64)
+    for pos, node in enumerate(order):
+        heads[node] = 0 if pos == 0 else rng.choice(order[:pos])
+    return heads
+
+
+def peaked_matrix(rng, tree, zero_share=0.0, ties=False, dead_root=False):
+    """Random log-probabilities whose row-wise argmax is `tree`.
+
+    `zero_share` of the other arcs become -inf; `ties` copies some tree arcs'
+    scores to a larger head index of the same row; `dead_root` makes every
+    arc of the tree's ROOT child -inf, so its argmax head is ROOT by index.
+    """
+    n = len(tree) - 1
+    rows = np.arange(n)
+    logits = rng.normal(size=(n, n + 1))
+    logits[rows, tree[1:]] += 8.0
+    logp = logits - np.log(np.exp(logits).sum(axis=1, keepdims=True))
+    other = np.ones_like(logp, dtype=bool)
+    other[rows, tree[1:]] = False
+    logp[other & (rng.random(logp.shape) < zero_share)] = -np.inf
+    if ties:
+        for i in range(1, n + 1):
+            later = [j for j in range(tree[i] + 1, n + 1) if j != i]
+            if later and rng.random() < 0.5:
+                logp[i - 1, rng.choice(later)] = logp[i - 1, tree[i]]
+    if dead_root:
+        logp[int(np.flatnonzero(tree == 0)[0]) - 1] = -np.inf
+    return ScoreMatrix(logp)
+
+
 def all_trees(n):
     """Every head vector [-1, h1..hn] with one ROOT child and no cycle.
 
@@ -72,6 +107,21 @@ DECODERS = pytest.mark.parametrize("decode", [
 
 def total_score(sm, heads):
     return sum(sm.row(i)[heads[i]] for i in range(1, sm.n + 1))
+
+
+def tree_key(sm, heads):
+    """(-inf arcs, finite total) of each head vector in `heads` [k, n+1]."""
+    arcs = sm.log_probs[np.arange(sm.n), heads[:, 1:]]
+    return np.isneginf(arcs).sum(axis=1), np.where(np.isfinite(arcs), arcs, 0.0).sum(axis=1)
+
+
+class TestIsValidTree:
+    def test_matches_independent_validator_on_every_head_vector(self):
+        # heads range over -1 and n+1 (out of range), ROOT, the tokens and self-heads
+        for n in range(6):
+            for body in itertools.product(range(-1, n + 2), repeat=n):
+                heads = np.array([-1, *body], dtype=np.int64)
+                assert is_valid_tree(heads) == independent_valid(heads), heads
 
 
 class TestGreedy:
@@ -240,6 +290,60 @@ class TestChuLiuEdmonds:
             assert total_score(sm, heads) >= total_score(sm, repaired) - 1e-12
 
 
+class TestTreeShortcut:
+    """`chu_liu_edmonds` returns the greedy heads when they form a tree."""
+
+    @pytest.fixture
+    def contractions(self, monkeypatch):
+        calls = []
+        inner = decoder._max_arborescence
+
+        def counting(scores):
+            calls.append(len(scores))
+            return inner(scores)
+
+        monkeypatch.setattr(decoder, "_max_arborescence", counting)
+        return calls
+
+    @pytest.mark.parametrize("zero_share, ties, dead_root", [
+        (0.0, False, False), (0.5, False, False), (0.0, True, False),
+        (0.3, True, False), (0.0, False, True), (0.5, True, True),
+    ], ids=["plain", "neg-inf", "ties", "neg-inf-ties", "dead-root", "all"])
+    def test_tree_argmax_is_optimal_without_contraction(self, contractions, zero_share,
+                                                        ties, dead_root):
+        rng = np.random.default_rng(6)
+        trees = {n: all_trees(n) for n in range(1, 7)}
+        for _ in range(300):
+            n = int(rng.integers(1, 7))
+            tree = random_tree(rng, n)
+            sm = peaked_matrix(rng, tree, zero_share, ties, dead_root)
+            heads = chu_liu_edmonds(sm)
+            np.testing.assert_array_equal(heads, tree)
+            inf_arcs, totals = tree_key(sm, trees[n])
+            best = inf_arcs == inf_arcs.min()
+            got_inf, got_total = tree_key(sm, heads[None])
+            assert got_inf[0] == inf_arcs.min()
+            np.testing.assert_allclose(got_total[0], totals[best].max(), atol=1e-12)
+        assert contractions == []
+
+    @pytest.mark.parametrize("zero_share", [0.0, 0.3])
+    @pytest.mark.parametrize("peaked", [False, True], ids=["random", "peaked"])
+    def test_same_heads_as_contraction_without_ties(self, monkeypatch, zero_share, peaked):
+        # every finite row has one best head, so the best tree is unique and both paths find it
+        rng = np.random.default_rng(7)
+        shortcut = 0
+        for _ in range(60):
+            n = int(rng.integers(5, 41))
+            sm = peaked_matrix(rng, random_tree(rng, n), zero_share) if peaked \
+                else random_matrix(rng, n, zero_share)
+            heads = chu_liu_edmonds(sm)
+            shortcut += is_valid_tree(greedy_heads(sm))
+            with monkeypatch.context() as m:
+                m.setattr(decoder, "is_valid_tree", lambda h: False)
+                np.testing.assert_array_equal(heads, chu_liu_edmonds(sm))
+        assert shortcut == 60 if peaked else shortcut < 60  # random: most take the contraction
+
+
 class TestNonFiniteScores:
     @DECODERS
     def test_nan_matrix_rejected_before_decoding(self, decode):
@@ -251,6 +355,12 @@ class TestNonFiniteScores:
         logp[2, 3] = np.nan
         with pytest.raises(ValueError, match="dependent 3, head 3"):
             ScoreMatrix(logp)
+
+    @DECODERS
+    def test_pos_inf_rejected_before_decoding(self, decode):
+        # greedy would take the +inf arc as the best and MST as the worst
+        with pytest.raises(ValueError, match=r"\+inf score for dependent 1, head 2"):
+            decode(ScoreMatrix(np.array([[-0.1, 0.0, np.inf], [-0.1, -5.0, 0.0]])))
 
     def test_nan_distribution_rejected(self):
         probs = np.full((2, 3), 1 / 3)

@@ -289,6 +289,11 @@ class TestJackknife:
         with pytest.raises(ValueError, match="k >= 3"):
             jackknife(corpus, cfg, tiny_enc(), tiny_heads())
 
+    def test_corpus_smaller_than_k_rejected(self, corpus):
+        cfg = TrainConfig(mode="supertagger", folds=3)
+        with pytest.raises(ValueError, match="corpus of 2 sentences is smaller than k=3"):
+            jackknife(corpus[:2], cfg, tiny_enc(), tiny_heads())
+
 
 class TestShuffleStags:
     def test_multiset_preserved(self, corpus):
