@@ -22,6 +22,7 @@ __all__ = [
     "add",
     "mul",
     "matmul",
+    "linear",
     "transpose",
     "reshape",
     "concat",
@@ -129,6 +130,28 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return Tensor(out, parents=(a, b), op="matmul", backward=bwd)
 
 
+def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
+    """Rows [N, d] through a layer: x @ W.T (+ b), W [n, d] and b [n].
+
+    The backward returns dW as g.T @ x, so it is C-ordered like W.
+    """
+    x, w = as_tensor(x), as_tensor(w)
+    b = None if b is None else as_tensor(b)
+    if x.value.ndim != 2 or w.value.ndim != 2 or x.shape[1] != w.shape[1] or (
+            b is not None and b.shape != w.shape[:1]):
+        shapes = (x.shape, w.shape) + (() if b is None else (b.shape,))
+        raise ShapeError(f"linear: shapes {shapes} do not conform")
+    out = x.value @ w.value.T
+    if b is not None:
+        out += b.value
+
+    def bwd(g):
+        return (g @ w.value, g.T @ x.value) + (() if b is None else (g.sum(axis=0),))
+
+    parents = (x, w) if b is None else (x, w, b)
+    return Tensor(out, parents=parents, op="linear", backward=bwd)
+
+
 def transpose(a: Tensor, axes=None) -> Tensor:
     a = as_tensor(a)
     out = np.transpose(a.value, axes)
@@ -190,14 +213,19 @@ def slice_axis(a: Tensor, axis: int, start: int, stop: int) -> Tensor:
     return Tensor(out, parents=(a,), op="slice", backward=bwd)
 
 
-def sigmoid_array(x: np.ndarray) -> np.ndarray:
+def sigmoid_array(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Logistic function of a numpy array, the one every sigmoid uses.
 
-    The sign-split form 1/(1+e^-x) for x >= 0 and e^x/(1+e^x) below never
-    exponentiates a positive argument, so it cannot overflow.
+    Four passes, 1/(1+e^-x), written into `out` when given (which may be
+    `x` itself). Below about -709, e^-x overflows to inf and the result is
+    the limit 0; that overflow is expected and raises no warning.
     """
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+    if out is None:
+        out = np.empty(np.shape(x))
+    with np.errstate(over="ignore"):
+        np.exp(np.negative(x, out=out), out=out)
+    out += 1.0
+    return np.divide(1.0, out, out=out)
 
 
 def relu(a: Tensor) -> Tensor:

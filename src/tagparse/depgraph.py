@@ -67,8 +67,11 @@ class DepGraph:
 
     @classmethod
     def from_sentence(cls, sentence) -> "DepGraph":
+        """The parsed tree of `sentence`, with each token's predicted POS
+        where it has one, else its gold POS, as the encoder reads them."""
         tokens = [
-            GraphToken(index=i, form=t.form, pos=t.gold_pos, stag=t.stag)
+            GraphToken(index=i, form=t.form,
+                       pos=t.pred_pos if t.pred_pos is not None else t.gold_pos, stag=t.stag)
             for i, t in enumerate(sentence.tokens, start=1)
         ]
         g = cls(tokens)

@@ -319,22 +319,29 @@ def lstm_layer(xs: Tensor, params: dict, prefix: str, hidden: int,
     cells = np.zeros((seq_len + 1, batch, hidden))
     put, get = (0, 1) if reverse else (1, 0)
     steps = range(seq_len - 1, -1, -1) if reverse else range(seq_len)
+    rec = np.empty((batch, w.shape[0]))       # h_prev's share of the gate inputs
+    tmp = np.empty((batch, hidden))
     h = np.zeros((batch, hidden))
     for t in steps:
-        h_ins[t] = h if rec_mask is None else h * rec_mask
-        z = pre[t] + h_ins[t] @ w_rec.T
-        a = acts[t]
-        a[:, : 2 * hidden] = ad.sigmoid_array(z[:, : 2 * hidden])
-        a[:, 2 * hidden : 3 * hidden] = np.tanh(z[:, 2 * hidden : 3 * hidden])
-        a[:, 3 * hidden :] = ad.sigmoid_array(z[:, 3 * hidden :])
+        if rec_mask is None:
+            h_ins[t] = h
+        else:
+            np.multiply(h, rec_mask, out=h_ins[t])
+        z, a = pre[t], acts[t]
+        z += np.matmul(h_ins[t], w_rec.T, out=rec)
+        ad.sigmoid_array(z, out=a)  # the c block is overwritten with its tanh below
         i, f, c_tilde, o = (a[:, k * hidden : (k + 1) * hidden] for k in range(4))
-        c = cells[t + put] = f * cells[t + get] + i * c_tilde
-        tanh_c[t] = np.tanh(c)
-        h = o * tanh_c[t]
+        np.tanh(z[:, 2 * hidden : 3 * hidden], out=c_tilde)
+        c = cells[t + put]
+        np.multiply(f, cells[t + get], out=c)
+        c += np.multiply(i, c_tilde, out=tmp)
+        np.tanh(c, out=tanh_c[t])
+        h = np.multiply(o, tanh_c[t], out=hs[t])
         if highway:
             r = a[:, 4 * hidden :]
-            h = r * h + (1.0 - r) * proj[t]
-        hs[t] = h
+            h *= r
+            np.subtract(1.0, r, out=tmp)
+            h += np.multiply(tmp, proj[t], out=tmp)
 
     def bwd(g):
         g = g.transpose(1, 0, 2)

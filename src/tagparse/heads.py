@@ -102,8 +102,7 @@ def init_head_params(rng, config: HeadConfig, feat_dim: int, n_pos: int,
 def _mlp(encoded: Tensor, params: dict, name: str) -> Tensor | None:
     if f"mlp.{name}.W" not in params:
         return None
-    return ad.relu(ad.add(ad.matmul(encoded, ad.transpose(params[f"mlp.{name}.W"])),
-                          params[f"mlp.{name}.b"]))
+    return ad.relu(ad.linear(encoded, params[f"mlp.{name}.W"], params[f"mlp.{name}.b"]))
 
 
 def head_features(encoded: Tensor, params: dict, mask=None) -> HeadFeatures:
@@ -146,17 +145,15 @@ def label_logits_pairs(dep: Tensor, dep_head_role: Tensor, head: Tensor,
     head_u = ad.reshape(ad.matmul(head, ad.reshape(params["rel.U"], (d_rel, d_rel * r))),
                         (n, d_rel, r))
     bilinear = ad.reduce_sum(ad.mul(head_u, ad.reshape(dep, (n, d_rel, 1))), axis=1)
-    affine = ad.matmul(ad.add(dep_head_role, head), ad.transpose(params["rel.W"]))
-    return ad.add(ad.add(bilinear, affine), ad.reshape(params["rel.b"], (1, -1)))
+    affine = ad.linear(ad.add(dep_head_role, head), params["rel.W"], params["rel.b"])
+    return ad.add(bilinear, affine)
 
 
 def pos_logits(rows: Tensor, params: dict) -> Tensor:
     """POS scores [N, n_pos] of N pos-MLP feature rows."""
-    return ad.add(ad.matmul(rows, ad.transpose(params["out.pos.W"])),
-                  ad.reshape(params["out.pos.b"], (1, -1)))
+    return ad.linear(rows, params["out.pos.W"], params["out.pos.b"])
 
 
 def stag_logits(rows: Tensor, params: dict) -> Tensor:
     """Supertag scores [N, n_stags] of N stag-MLP feature rows."""
-    return ad.add(ad.matmul(rows, ad.transpose(params["out.stag.W"])),
-                  ad.reshape(params["out.stag.b"], (1, -1)))
+    return ad.linear(rows, params["out.stag.W"], params["out.stag.b"])

@@ -29,25 +29,18 @@ class Vocabulary:
 
     @classmethod
     def from_corpus(cls, sentences) -> "Vocabulary":
+        """Every form, character, tag and label of `sentences`, in first-seen
+        order; a token's gold POS comes before its predicted one."""
         v = cls()
-        for sent in sentences:
-            for tok in sent.tokens:
-                v._intern(v.words, tok.form)
-                for ch in tok.form:
-                    v._intern(v.chars, ch)
-                v._intern(v.pos, tok.gold_pos)
-                if tok.pred_pos is not None:
-                    v._intern(v.pos, tok.pred_pos)
-                if tok.stag is not None:
-                    v._intern(v.stags, tok.stag)
-                v._intern(v.rels, tok.rel)
+        tokens = [tok for sent in sentences for tok in sent.tokens]
+        forms = [tok.form for tok in tokens]
+        v.words = _extended(v.words, forms)
+        v.chars = _extended(v.chars, "".join(forms))
+        v.pos = _extended(v.pos, (pos for tok in tokens for pos in (tok.gold_pos, tok.pred_pos)
+                                  if pos is not None))
+        v.stags = _extended(v.stags, (tok.stag for tok in tokens if tok.stag is not None))
+        v.rels = _extended(v.rels, (tok.rel for tok in tokens))
         return v
-
-    @staticmethod
-    def _intern(table: dict, key: str) -> int:
-        if key not in table:
-            table[key] = len(table)
-        return table[key]
 
     # lookup helpers; unseen items map to UNK where one is reserved
     def word_id(self, form: str) -> int:
@@ -108,3 +101,8 @@ class Vocabulary:
         v.stags = {k: int(i) for k, i in data["stags"].items()}
         v.rels = {k: int(i) for k, i in data["rels"].items()}
         return v
+
+
+def _extended(table: dict, keys) -> dict:
+    """`table`, whose ids are its insertion order, with the new `keys` appended."""
+    return {key: i for i, key in enumerate(dict.fromkeys([*table, *keys]))}

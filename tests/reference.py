@@ -2,12 +2,15 @@
 fused, batched and chunked code in src/ is checked against, and the tape ops
 only they use."""
 
+from dataclasses import dataclass, field
+
 import numpy as np
 
 import tagparse.autodiff as ad
 from tagparse.autodiff import Tensor
 from tagparse.encoder import ALL_MODES, PARSER_MODES
 from tagparse.optim import AdamState
+from tagparse.vocab import Vocabulary
 
 
 def neg(a: Tensor) -> Tensor:
@@ -20,6 +23,13 @@ def sigmoid(a: Tensor) -> Tensor:
     out = ad.sigmoid_array(a.value)
     return Tensor(out, parents=(a,), op="sigmoid",
                   backward=lambda g: (g * out * (1.0 - out),))
+
+
+def sigmoid_array(x: np.ndarray) -> np.ndarray:
+    """The sign-split logistic function: 1/(1+e^-x) for x >= 0 and
+    e^x/(1+e^x) below, so no positive argument is exponentiated."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def tanh(a: Tensor) -> Tensor:
@@ -95,7 +105,8 @@ def encode_tokens(sentence, mode: str, params: dict, vocab, config) -> Tensor:
     return mat
 
 
-def _linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
+def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
+    """`ad.linear` as the matmul, transpose and add it replaces."""
     out = ad.matmul(x, ad.transpose(w))
     return out if b is None else ad.add(out, b)
 
@@ -107,15 +118,15 @@ def lstm_cell(x_t: Tensor, h_prev: Tensor, c_prev: Tensor, p: dict, prefix: str 
     state update is the same either way.
     """
     cat = ad.concat([x_t, h_prev], axis=1)
-    i = sigmoid(_linear(cat, p[f"{prefix}W_i"], p[f"{prefix}b_i"]))
-    f = sigmoid(_linear(cat, p[f"{prefix}W_f"], p[f"{prefix}b_f"]))
-    c_tilde = tanh(_linear(cat, p[f"{prefix}W_c"], p[f"{prefix}b_c"]))
-    o = sigmoid(_linear(cat, p[f"{prefix}W_o"], p[f"{prefix}b_o"]))
+    i = sigmoid(linear(cat, p[f"{prefix}W_i"], p[f"{prefix}b_i"]))
+    f = sigmoid(linear(cat, p[f"{prefix}W_f"], p[f"{prefix}b_f"]))
+    c_tilde = tanh(linear(cat, p[f"{prefix}W_c"], p[f"{prefix}b_c"]))
+    o = sigmoid(linear(cat, p[f"{prefix}W_o"], p[f"{prefix}b_o"]))
     c = ad.add(ad.mul(f, c_prev), ad.mul(i, c_tilde))
     h = ad.mul(o, tanh(c))
     if f"{prefix}W_r" in p:
-        r = sigmoid(_linear(cat, p[f"{prefix}W_r"], p[f"{prefix}b_r"]))
-        bypass = ad.mul(ad.add(Tensor(1.0), neg(r)), _linear(x_t, p[f"{prefix}W_h"]))
+        r = sigmoid(linear(cat, p[f"{prefix}W_r"], p[f"{prefix}b_r"]))
+        bypass = ad.mul(ad.add(Tensor(1.0), neg(r)), linear(x_t, p[f"{prefix}W_h"]))
         h = ad.add(ad.mul(r, h), bypass)
     return h, c
 
@@ -152,8 +163,10 @@ def stepwise_bilstm_stack(inputs: Tensor, params: dict, config, masks: dict | No
 def adam_step(params: dict, grads: dict, state: AdamState) -> dict:
     """`optim.adam_step` as whole-tensor expressions, with their temporaries."""
     state.t += 1
-    bc1 = 1.0 - state.beta1**state.t
-    bc2 = 1.0 - state.beta2**state.t
+    b1, b2 = state.beta1, state.beta2
+    root_bc2 = np.sqrt((1.0 - b2**state.t) / (1.0 - b2))
+    step = state.lr * (1.0 - b1) / (1.0 - b1**state.t) * root_bc2
+    eps_q = state.eps * root_bc2
     for name, p in params.items():
         g = grads.get(name)
         if g is None:
@@ -161,6 +174,37 @@ def adam_step(params: dict, grads: dict, state: AdamState) -> dict:
         value = p.value if isinstance(p, Tensor) else p
         if g.shape != value.shape:
             raise ad.ShapeError(f"adam_step: param {name} shape {value.shape} vs grad {g.shape}")
+        if name not in state.s:
+            state.s[name] = np.zeros_like(value)
+            state.q[name] = np.zeros_like(value)
+        s, q = state.s[name], state.q[name]
+        s *= b1
+        s += g
+        q *= b2
+        q += g * g
+        value -= step * (s / (np.sqrt(q) + eps_q))
+    return params
+
+
+@dataclass
+class TextbookAdamState:
+    lr: float = 0.01
+    beta1: float = 0.9
+    beta2: float = 0.999
+    eps: float = 1e-8
+    t: int = 0
+    m: dict = field(default_factory=dict)
+    v: dict = field(default_factory=dict)
+
+
+def textbook_adam_step(params: dict, grads: dict, state: TextbookAdamState) -> dict:
+    """Adam as Kingma & Ba write it, with the bias-corrected moments m and v."""
+    state.t += 1
+    bc1 = 1.0 - state.beta1**state.t
+    bc2 = 1.0 - state.beta2**state.t
+    for name, p in params.items():
+        g = grads[name]
+        value = p.value if isinstance(p, Tensor) else p
         if name not in state.m:
             state.m[name] = np.zeros_like(value)
             state.v[name] = np.zeros_like(value)
@@ -171,3 +215,26 @@ def adam_step(params: dict, grads: dict, state: AdamState) -> dict:
         v += (1.0 - state.beta2) * (g * g)
         value -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
     return params
+
+
+def vocab_from_corpus(sentences) -> Vocabulary:
+    """`Vocabulary.from_corpus` as one pass over the tokens, interning each
+    form, character, POS tag (gold, then predicted), supertag and label."""
+
+    def intern(table: dict, key: str) -> None:
+        if key not in table:
+            table[key] = len(table)
+
+    v = Vocabulary()
+    for sent in sentences:
+        for tok in sent.tokens:
+            intern(v.words, tok.form)
+            for ch in tok.form:
+                intern(v.chars, ch)
+            intern(v.pos, tok.gold_pos)
+            if tok.pred_pos is not None:
+                intern(v.pos, tok.pred_pos)
+            if tok.stag is not None:
+                intern(v.stags, tok.stag)
+            intern(v.rels, tok.rel)
+    return v

@@ -1,9 +1,12 @@
 """Forward-op correctness and gradient checks for the tensor core."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from helpers import numeric_grad, rel_err
+import reference
 from reference import neg, sigmoid, tanh
 
 import tagparse.autodiff as ad
@@ -55,6 +58,27 @@ class TestForwardValues:
         out = sigmoid(Tensor([-1e4, -50.0, 0.0, 50.0, 1e4])).value
         assert np.all(np.isfinite(out))
         np.testing.assert_allclose(out[2], 0.5)
+
+    def test_sigmoid_array_raises_no_warning(self):
+        x = np.array([-1e4, -800.0, -np.inf, np.inf, 0.0, -0.0, np.nan, 800.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = ad.sigmoid_array(x)
+        np.testing.assert_array_equal(out, [0.0, 0.0, 0.0, 1.0, 0.5, 0.5, np.nan, 1.0])
+
+    def test_sigmoid_array_matches_sign_split_form(self):
+        x = np.linspace(-40.0, 40.0, 100_001)
+        np.testing.assert_allclose(ad.sigmoid_array(x), reference.sigmoid_array(x),
+                                   rtol=1e-15, atol=0)
+
+    def test_sigmoid_array_writes_into_out(self):
+        x = np.random.default_rng(0).normal(size=(3, 8))
+        want = ad.sigmoid_array(x)
+        out = np.empty_like(x)
+        assert ad.sigmoid_array(x, out=out) is out
+        np.testing.assert_array_equal(out, want)
+        assert ad.sigmoid_array(x, out=x) is x  # in place
+        np.testing.assert_array_equal(x, want)
 
     def test_cross_entropy_uniform_logits(self):
         logits = Tensor(np.zeros((4, 7)))
@@ -194,6 +218,54 @@ class TestBackwardBasics:
         grads = ad.gradients(ad.mul(x, x), {"x": x, "y": y})
         np.testing.assert_allclose(grads["x"], 4.0)
         np.testing.assert_array_equal(grads["y"], np.zeros(3))
+
+
+class TestLinear:
+    @pytest.mark.parametrize("bias", [True, False])
+    def test_matches_matmul_transpose_add(self, bias):
+        rng = np.random.default_rng(11)
+        x, w = ad.parameter(rng.normal(size=(6, 5))), ad.parameter(rng.normal(size=(4, 5)))
+        b = ad.parameter(rng.normal(size=4)) if bias else None
+        leaves = [x, w] + ([b] if bias else [])
+        weights = rng.normal(size=(6, 4))
+        got = {}
+        for op in (ad.linear, reference.linear):
+            out = op(x, w, b)
+            ad.backward(scalar_loss(out, weights))
+            got[op] = out.value, [leaf.grad for leaf in leaves]
+        (value, grads), (want, want_grads) = got.values()
+        np.testing.assert_allclose(value, want, rtol=0, atol=1e-12)
+        for g, g_want in zip(grads, want_grads):
+            np.testing.assert_allclose(g, g_want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("which", [0, 1, 2], ids=["x", "w", "b"])
+    def test_passes_gradient_check(self, which):
+        rng = np.random.default_rng(12 + which)
+        start = [rng.normal(size=(6, 5)), rng.normal(size=(4, 5)), rng.normal(size=4)]
+        weights = rng.normal(size=(6, 4))
+
+        def loss(v):
+            args = [Tensor(a) for a in start]
+            args[which] = v
+            return scalar_loss(ad.linear(*args), weights)
+
+        leaf = ad.parameter(start[which])
+        ad.backward(loss(leaf))
+        numeric = numeric_grad(lambda v: float(loss(Tensor(v)).value), start[which])
+        assert rel_err(leaf.grad, numeric) < 1e-6
+
+    def test_weight_gradient_is_c_ordered(self):
+        rng = np.random.default_rng(13)
+        w = ad.parameter(rng.normal(size=(4, 5)))
+        ad.backward(ad.reduce_sum(ad.linear(Tensor(rng.normal(size=(6, 5))), w)))
+        assert w.grad.flags.c_contiguous
+
+    @pytest.mark.parametrize("shapes", [((6, 5), (4, 3), None), ((6, 5), (4, 5), (3,)),
+                                        ((2, 6, 5), (4, 5), None)])
+    def test_shape_mismatch_names_the_shapes(self, shapes):
+        x, w, b = (None if s is None else Tensor(np.zeros(s)) for s in shapes)
+        with pytest.raises(ShapeError, match="linear"):
+            ad.linear(x, w, b)
 
 
 def op_cases(rng):

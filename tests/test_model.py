@@ -291,6 +291,17 @@ def test_gradients_flow_to_every_parameter(corpus):
     assert "emb.word" in nonzero
 
 
+def test_every_gradient_is_c_ordered(corpus, joint_model):
+    # adam_step walks a gradient as a flat view; an F-ordered one would be copied
+    from tagparse.training import joint_loss
+
+    bucket = [s for s in corpus if len(s) == len(corpus[0])]
+    loss = joint_loss(joint_model.forward(bucket, np.random.default_rng(3)), bucket,
+                      joint_model.vocab, joint_model.mode)
+    grads = ad.gradients(loss, joint_model.params)
+    assert [name for name, g in grads.items() if not g.flags.c_contiguous] == []
+
+
 @pytest.mark.parametrize("mode, inputs", [
     ("joint-stag", dict(use_stag_input=True)),
     ("joint-pos-stag", dict(use_stag_input=True)),

@@ -75,30 +75,49 @@ def model_shapes():
     return {name: p.shape for name, p in model.params.items()}
 
 
-@pytest.mark.parametrize("shapes", [
+SHAPES = [
     {"p": (1,)}, {"p": (CHUNK,)}, {"p": (CHUNK + 1,)},
     {"scalar": (), "rows": (3, CHUNK // 2 + 5), "cube": (7, 11, 13)},
     model_shapes(),
-], ids=["one", "chunk", "chunk-plus-one", "mixed", "model"])
-def test_bit_identical_to_whole_tensor_oracle(shapes):
+]
+SHAPE_IDS = ["one", "chunk", "chunk-plus-one", "mixed", "model"]
+
+
+def fifty_steps(shapes, step, state):
     rng = np.random.default_rng(5)
-    start = {name: rng.normal(size=shape) for name, shape in shapes.items()}
-    runs = []
-    for step in (adam_step, reference.adam_step):
-        params = {name: parameter(v.copy()) for name, v in start.items()}
-        state = AdamState(lr=0.003)
-        grads_rng = np.random.default_rng(6)
-        for _ in range(50):
-            # gradients over many magnitudes, some exactly zero
-            grads = {name: grads_rng.normal(size=shape) * 10.0 ** grads_rng.integers(-6, 3)
-                     * (grads_rng.random(size=shape) > 0.1) for name, shape in shapes.items()}
-            step(params, grads, state)
-        runs.append((params, state))
-    (params, state), (want, want_state) = runs
+    params = {name: parameter(rng.normal(size=shape)) for name, shape in shapes.items()}
+    grads_rng = np.random.default_rng(6)
+    for _ in range(50):
+        # gradients over many magnitudes, some exactly zero
+        grads = {name: grads_rng.normal(size=shape) * 10.0 ** grads_rng.integers(-6, 3)
+                 * (grads_rng.random(size=shape) > 0.1) for name, shape in shapes.items()}
+        step(params, grads, state)
+    return params, state
+
+
+@pytest.mark.parametrize("shapes", SHAPES, ids=SHAPE_IDS)
+def test_bit_identical_to_whole_tensor_oracle(shapes):
+    params, state = fifty_steps(shapes, adam_step, AdamState(lr=0.003))
+    want, want_state = fifty_steps(shapes, reference.adam_step, AdamState(lr=0.003))
     for name in shapes:
         assert np.array_equal(params[name].value, want[name].value), name
-        assert np.array_equal(state.m[name], want_state.m[name]), name
-        assert np.array_equal(state.v[name], want_state.v[name]), name
+        assert np.array_equal(state.s[name], want_state.s[name]), name
+        assert np.array_equal(state.q[name], want_state.q[name]), name
+
+
+@pytest.mark.parametrize("shapes", SHAPES, ids=SHAPE_IDS)
+def test_matches_textbook_adam(shapes):
+    # the sums form differs from the textbook one only in rounding; the largest
+    # gaps seen were 8.9e-16 in the parameters, 6.4e-12 in m and 2.7e-15 in v
+    params, state = fifty_steps(shapes, adam_step, AdamState(lr=0.003))
+    want, want_state = fifty_steps(shapes, reference.textbook_adam_step,
+                                   reference.TextbookAdamState(lr=0.003))
+    for name in shapes:
+        np.testing.assert_allclose(params[name].value, want[name].value, rtol=0, atol=1e-14)
+        np.testing.assert_allclose((1 - state.beta1) * state.s[name], want_state.m[name],
+                                   rtol=1e-10, atol=0)
+        np.testing.assert_allclose((1 - state.beta2) * state.q[name], want_state.v[name],
+                                   rtol=1e-13, atol=0)
 
 
 def test_strided_parameter_updates_in_place():

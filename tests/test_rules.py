@@ -98,6 +98,20 @@ class TestPerRuleFixtures:
             apply_rule(DepGraph.from_sentence(fx.SMALL_CLAUSE), "no-such-rule")
 
 
+def test_graph_reads_predicted_pos_where_set():
+    # "John" heads the relative clause; predicted as a verb, it no longer licenses the rule
+    sentence = fx.RELATIVE_CLAUSE.copy()
+    for tok in sentence.tokens:
+        tok.pred_pos = tok.gold_pos
+    sentence.tokens[0].pred_pos = "VBD"
+    sentence.tokens[3].pred_pos = None  # falls back to the gold column
+    g = DepGraph.from_sentence(sentence)
+    assert [t.pos for t in g.tokens] == ["VBD", "WP", "VBZ", "NNP", "VBD", "DT", "NN"]
+    assert apply_rule(g, "relative-clause")[1] == ("relative-clause", ())
+    gold = DepGraph.from_sentence(fx.RELATIVE_CLAUSE)
+    assert apply_rule(gold, "relative-clause")[1] == ("relative-clause", (Arc(1, 3, "0"),))
+
+
 class TestPipeline:
     def test_rule_order_matches_documentation(self):
         assert RULE_IDS == (
