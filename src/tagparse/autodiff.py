@@ -2,15 +2,34 @@
 
 Every `Tensor` holds a numpy float64 array and doubles as a node of the
 computation tape: it records the op that produced it, references to its
-parents, and (after `backward`) the gradient of the final scalar with
-respect to it. The tape is an implicit DAG; `backward` walks it exactly
-once in reverse topological order.
+parents, and a closure that maps its gradient to theirs. The tape is an
+implicit DAG; `backward` walks it exactly once in reverse topological
+order.
+
+Tape lifetime. A closure holds what its backward needs (operands, cached
+activations; the LSTM op's whole BPTT cache), so it is released as soon
+as it has run: once an interior node (one with parents) has passed its
+gradient on, `backward` drops the node's closure and its `.grad`. Each
+node keeps its `.value` and `parents`, so outputs stay readable and the
+graph stays walkable, but it cannot be differentiated through again: a
+second `backward` that reaches it raises RuntimeError naming its op.
+Leaves (parameters, constants), and any tensor passed to `gradients` or
+named in `backward(keep=...)`, keep their gradients.
+
+`no_grad()` switches recording off: inside it every new tensor is a leaf,
+with no parents and no closure, so a forward pass builds no tape at all
+and each op's saved arrays die with the op. The switch holds for the
+calling thread only and is restored on exit, also when an exception
+leaves the block.
 
 Non-differentiable inputs (index arrays, dropout masks, class targets)
 are passed as plain numpy arrays, never as tape nodes.
 """
 
 from __future__ import annotations
+
+import contextlib
+import threading
 
 import numpy as np
 
@@ -39,7 +58,16 @@ __all__ = [
     "backward",
     "gradients",
     "zero_grads",
+    "no_grad",
+    "is_grad_enabled",
 ]
+
+
+class _Recording(threading.local):
+    on = True  # whether new tensors of this thread record parents and a closure
+
+
+_recording = _Recording()
 
 
 class ShapeError(ValueError):
@@ -47,17 +75,21 @@ class ShapeError(ValueError):
 
 
 class Tensor:
-    __slots__ = ("value", "parents", "op", "grad", "_backward")
+    __slots__ = ("value", "parents", "op", "grad", "_backward", "__weakref__")
 
     def __init__(self, value, *, parents=(), op="leaf", backward=None):
         arr = np.asarray(value)
         if arr.dtype != np.float64:
             arr = arr.astype(np.float64)
         self.value = arr
-        self.parents = tuple(parents)
         self.op = op
         self.grad = None
-        self._backward = backward
+        if _recording.on:
+            self.parents = tuple(parents)
+            self._backward = backward
+        else:
+            self.parents = ()
+            self._backward = None
 
     @property
     def shape(self):
@@ -65,6 +97,21 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(op={self.op!r}, shape={self.value.shape})"
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Build no tape inside the block: new tensors have no parents or closure."""
+    saved, _recording.on = _recording.on, False
+    try:
+        yield
+    finally:
+        _recording.on = saved
+
+
+def is_grad_enabled() -> bool:
+    """False inside `no_grad` on this thread."""
+    return _recording.on
 
 
 def as_tensor(x) -> Tensor:
@@ -388,30 +435,42 @@ def _toposort(root: Tensor) -> list:
     return order
 
 
-def backward(loss: Tensor) -> None:
-    """Accumulate d(loss)/d(node) into `.grad` for every node reachable from loss.
+def backward(loss: Tensor, keep=()) -> None:
+    """Store d(loss)/d(node) in `.grad` of the leaves reachable from loss.
 
     `loss` must be a scalar. Existing grads on reachable nodes are overwritten;
-    call `zero_grads` or rely on this overwrite between steps.
+    call `zero_grads` or rely on this overwrite between steps. Interior nodes
+    release their closure and gradient once it has reached their parents;
+    those in `keep` keep the gradient. Raises RuntimeError if a reachable
+    node was released by an earlier backward.
     """
     if loss.shape != ():
         raise ShapeError(f"backward: loss must be scalar, got shape {loss.shape}")
     order = _toposort(loss)
+    for node in reversed(order):
+        if node.parents and node._backward is None:
+            raise RuntimeError(f"backward: the {node.op!r} node was already differentiated"
+                               " through, and its tape was released")
     for node in order:
         node.grad = None
+    kept = {id(t) for t in keep}
     loss.grad = np.ones(())
     for node in reversed(order):
-        if node._backward is None or node.grad is None:
+        fn, node._backward = node._backward, None
+        if fn is None:
             continue
-        for parent, g in zip(node.parents, node._backward(node.grad)):
-            if g is None:
-                continue
-            parent.grad = g if parent.grad is None else parent.grad + g
+        if node.grad is not None:
+            for parent, g in zip(node.parents, fn(node.grad)):
+                if g is None:
+                    continue
+                parent.grad = g if parent.grad is None else parent.grad + g
+        if id(node) not in kept:
+            node.grad = None
 
 
 def gradients(loss: Tensor, params) -> dict:
-    """Run backward and return a grad per named parameter, zeros if unreachable."""
-    backward(loss)
+    """Run backward and return a grad per named tensor, zeros if unreachable."""
+    backward(loss, keep=params.values())
     return {
         name: (p.grad if p.grad is not None else np.zeros_like(p.value))
         for name, p in params.items()

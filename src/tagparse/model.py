@@ -48,7 +48,8 @@ class BatchOutputs:
 
     sentences: list
     arc_scores: Tensor | None = None    # [B, T, T+1]: [b, i-1, j] scores head j of token i
-    label_logits: Tensor | None = None  # [B*T, r], sentence-major order
+    # [B*T, r], sentence-major; None from a forward under no_grad without rng
+    label_logits: Tensor | None = None
     pos_logits: Tensor | None = None    # [B*T, n_pos]
     stag_logits: Tensor | None = None   # [B*T, n_stags]
     rel_dep: Tensor | None = None       # projection rows kept for labeling
@@ -56,7 +57,7 @@ class BatchOutputs:
 
     @property
     def arc_logits(self) -> list | None:
-        """Per-sentence [T, T+1] slices of `arc_scores`, each on the tape."""
+        """Per-sentence [T, T+1] slices of `arc_scores`, on the tape unless under no_grad."""
         if self.arc_scores is None:
             return None
         batch, seq, cols = self.arc_scores.shape
@@ -125,7 +126,12 @@ class Model:
     # ----- forward --------------------------------------------------------
 
     def forward(self, sentences: list, rng: np.random.Generator | None = None) -> BatchOutputs:
-        """Head outputs for one bucket; pass `rng` to enable training dropout."""
+        """Head outputs for one bucket; pass `rng` to enable training dropout.
+
+        Labels are scored on the gold heads with `rng` and on the argmax
+        heads without it. Under `ad.no_grad` without `rng` they are not
+        scored: a prediction labels its decoded heads instead.
+        """
         if not sentences:
             raise ValueError("forward: empty bucket")
         lengths = {len(s) for s in sentences}
@@ -155,8 +161,9 @@ class Model:
                 ad.embedding_lookup(feats.arc_dep, token_rows.reshape(batch, seq)),
                 ad.reshape(feats.arc_head, (batch, rows, -1)), self.params)
             out.rel_dep, out.rel_head = feats.rel_dep, feats.rel_head
-            head_rows = self._head_rows(sentences, rows, rng is not None, out.arc_scores)
-            out.label_logits = self._label_logits(out, token_rows, head_rows)
+            if rng is not None or ad.is_grad_enabled():
+                head_rows = self._head_rows(sentences, rows, rng is not None, out.arc_scores)
+                out.label_logits = self._label_logits(out, token_rows, head_rows)
         for tag, logits in zip(TAGS, (pos_logits, stag_logits)):
             if tag in self.tasks:
                 rows = ad.embedding_lookup(getattr(feats, tag), token_rows)
@@ -195,8 +202,9 @@ class Model:
 
     # ----- prediction -----------------------------------------------------
 
+    @ad.no_grad()
     def predict(self, sentences: list, use_mst: bool = False) -> list:
-        """Fill predicted columns on copies of the input sentences."""
+        """Fill predicted columns on copies of the input sentences; no tape is built."""
         by_len: dict = {}
         for pos, sent in enumerate(sentences):
             by_len.setdefault(len(sent), []).append(pos)
@@ -262,8 +270,8 @@ class Model:
         `__init__` builds for them.
         """
         tensors, meta = load_tensors(path)
-        # __init__ lays out the expected parameters; their random values are replaced below
-        model = cls(*_read_meta(path, meta), np.random.default_rng(0))
+        # __init__ lays out the expected parameters, zero-filled; their values are read below
+        model = cls(*_read_meta(path, meta), _NoDraw())
         for name, param in model.params.items():
             if name not in tensors:
                 raise FormatError(f"{path}: missing tensor {name!r}")
@@ -276,6 +284,15 @@ class Model:
         for name, param in model.params.items():
             param.value[...] = tensors[name]  # in place: the LSTM gates stay views of their stacks
         return model
+
+
+class _NoDraw:
+    """Stands in for the generator where only parameter shapes matter: every
+    Glorot draw (`glorot` is the one caller of `uniform`) comes out zeros."""
+
+    @staticmethod
+    def uniform(low, high, size):
+        return np.zeros(size)
 
 
 # the JSON values a config field of each annotated type accepts; bool is checked apart,

@@ -4,13 +4,14 @@ jackknifing, and the shuffled-supertag control."""
 from __future__ import annotations
 
 import json
+import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from .corpus import GOLD_FIELD, PRED_FIELD
-from .encoder import MODE_JOINT_POS_STAG, MODE_TASKS, TAGS, EncoderConfig
+from .encoder import MODE_JOINT_POS_STAG, MODE_PARSER, MODE_TASKS, TAGS, EncoderConfig
 from .heads import HeadConfig
 from .metrics import joint_correct, las_uas, tag_accuracy
 from .model import BatchOutputs, Model
@@ -54,12 +55,15 @@ class EpochReport:
     train_loss: float
     metrics: dict
     dev_score: float
+    seconds: float       # wall time of the epoch's training steps, dev scoring apart
+    tokens_per_s: float  # training tokens over `seconds`
 
     def to_json(self) -> str:
         return json.dumps(
             {"epoch": self.epoch, "train_loss": round(self.train_loss, 6),
              "dev_score": round(self.dev_score, 4),
-             **{k: round(v, 4) for k, v in self.metrics.items()}}
+             **{k: round(v, 4) for k, v in self.metrics.items()},
+             "seconds": round(self.seconds, 3), "tokens_per_s": round(self.tokens_per_s, 1)}
         )
 
 
@@ -135,7 +139,11 @@ def evaluate_dev(model: Model, gold: list) -> dict:
 
 def dev_criterion(mode: str, metrics: dict) -> float:
     """The dev score that early stopping follows: the accuracy of a tagger's
-    column, LAS of the parser, and joint correctness of the joint modes."""
+    column, LAS of the parser, and joint correctness of the joint modes.
+
+    `train` scores the shuffled-supertag control of a parsing mode as the
+    parser, on LAS: its supertag targets are noise the dev gold does not share.
+    """
     tasks = MODE_TASKS[mode]
     if "arcs" not in tasks:
         (tag,) = tasks
@@ -160,24 +168,21 @@ def train(train_corpus: list, dev_corpus: list, config: TrainConfig,
         train_corpus = shuffle_stag_targets(train_corpus, seed=config.seed)
     model = Model(vocab, config.mode, enc_config, head_config, rng, pretrained)
     state = AdamState(lr=config.lr)
+    criterion_mode = (MODE_PARSER if config.shuffle_stag and "arcs" in model.tasks
+                      else config.mode)
     best_score, best_epoch, best_params = -np.inf, 0, None
     history, stall = [], 0
     for epoch in range(1, config.max_epochs + 1):
         total_loss, total_tokens = 0.0, 0
+        start = time.perf_counter()
         for batch in make_batches(train_corpus, config.batch_size, rng):
-            ad.zero_grads(model.params)
-            loss = joint_loss(model.forward(batch, rng), batch, vocab, config.mode)
-            if not np.isfinite(loss.value):
-                raise FloatingPointError(
-                    f"train: loss {float(loss.value)} in epoch {epoch} on a batch of "
-                    f"{len(batch)} sentences of length {len(batch[0])}")
-            grads = ad.gradients(loss, model.params)
-            adam_step(model.params, grads, state)
-            total_loss += float(loss.value)
+            total_loss += _train_step(model, batch, rng, state, epoch)
             total_tokens += sum(len(s) for s in batch)
+        seconds = time.perf_counter() - start
         metrics = evaluate_dev(model, dev_corpus)
-        score = dev_criterion(config.mode, metrics)
-        report = EpochReport(epoch, total_loss / max(total_tokens, 1), metrics, score)
+        score = dev_criterion(criterion_mode, metrics)
+        report = EpochReport(epoch, total_loss / max(total_tokens, 1), metrics, score,
+                             seconds, total_tokens / seconds)
         history.append(report)
         if log is not None:
             log(report)
@@ -193,6 +198,22 @@ def train(train_corpus: list, dev_corpus: list, config: TrainConfig,
         for k, p in model.params.items():
             p.value[...] = best_params[k]
     return TrainResult(model=model, history=history, best_epoch=best_epoch)
+
+
+def _train_step(model: Model, batch: list, rng, state: AdamState, epoch: int) -> float:
+    """One Adam step on one batch; returns the batch's summed loss.
+
+    The step's tape, loss and gradients die on return, before the next
+    step's forward.
+    """
+    loss = joint_loss(model.forward(batch, rng), batch, model.vocab, model.mode)
+    if not np.isfinite(loss.value):
+        raise FloatingPointError(
+            f"train: loss {float(loss.value)} in epoch {epoch} on a batch of "
+            f"{len(batch)} sentences of length {len(batch[0])}")
+    adam_step(model.params, ad.gradients(loss, model.params), state)
+    ad.zero_grads(model.params)
+    return float(loss.value)
 
 
 @dataclass

@@ -1,5 +1,6 @@
 """Forward-op correctness and gradient checks for the tensor core."""
 
+import threading
 import warnings
 
 import numpy as np
@@ -218,6 +219,70 @@ class TestBackwardBasics:
         grads = ad.gradients(ad.mul(x, x), {"x": x, "y": y})
         np.testing.assert_allclose(grads["x"], 4.0)
         np.testing.assert_array_equal(grads["y"], np.zeros(3))
+
+
+class TestTapeLifetime:
+    def build(self):
+        x, c = ad.parameter(np.array([1.0, -2.0, 3.0])), Tensor(np.array([0.5, 2.0, -1.0]))
+        y = ad.mul(x, c)
+        loss = ad.reduce_sum(tanh(y))
+        return x, c, y, loss
+
+    def test_interior_grads_are_released_and_leaves_keep_theirs(self):
+        x, c, y, loss = self.build()
+        y_value = y.value.copy()
+        ad.backward(loss)
+        assert y.grad is None and loss.grad is None
+        np.testing.assert_allclose(x.grad, c.value * (1.0 - np.tanh(y_value) ** 2))
+        np.testing.assert_allclose(c.grad, x.value * (1.0 - np.tanh(y_value) ** 2))
+        # values and parents stay: outputs remain readable and the graph walkable
+        assert y.parents == (x, c)
+        np.testing.assert_array_equal(y.value, y_value)
+
+    def test_gradients_keeps_the_gradient_of_an_interior_tensor(self):
+        x, c, y, loss = self.build()
+        grads = ad.gradients(loss, {"x": x, "y": y})
+        np.testing.assert_allclose(grads["y"], 1.0 - np.tanh(y.value) ** 2)
+        assert y.grad is grads["y"]
+        np.testing.assert_allclose(grads["x"], c.value * grads["y"])
+
+    def test_second_backward_through_a_released_node_raises(self):
+        x, c, y, loss = self.build()
+        ad.backward(loss)
+        with pytest.raises(RuntimeError, match="'sum' node was already differentiated"):
+            ad.backward(loss)
+        # a new loss on top of a released node cannot reach past it either
+        with pytest.raises(RuntimeError, match="'mul' node"):
+            ad.backward(ad.reduce_sum(y))
+
+    def test_no_grad_records_no_parents(self):
+        x = ad.parameter(np.array([0.5, -1.0]))
+        want = ad.reduce_sum(ad.mul(x, x)).value
+        with ad.no_grad():
+            assert not ad.is_grad_enabled()
+            sq = ad.mul(x, x)
+            loss = ad.reduce_sum(sq)
+        assert ad.is_grad_enabled()
+        assert sq.parents == () and loss.parents == ()
+        assert loss.value == want
+
+    def test_no_grad_is_restored_when_an_exception_leaves_it(self):
+        with pytest.raises(ZeroDivisionError):
+            with ad.no_grad():
+                with ad.no_grad():
+                    pass
+                assert not ad.is_grad_enabled()  # the inner block restores the outer one
+                1 / 0
+        assert ad.is_grad_enabled()
+        assert ad.mul(ad.parameter(2.0), ad.parameter(3.0)).parents != ()
+
+    def test_no_grad_holds_for_the_calling_thread_only(self):
+        seen = []
+        with ad.no_grad():
+            other = threading.Thread(target=lambda: seen.append(ad.is_grad_enabled()))
+            other.start()
+            other.join(timeout=10)
+        assert not other.is_alive() and seen == [True]
 
 
 class TestLinear:

@@ -6,6 +6,8 @@ import pytest
 from reference import encode_tokens
 
 import tagparse.autodiff as ad
+import tagparse.encoder
+import tagparse.heads
 import tagparse.model as tm
 from tagparse.decoder import is_valid_tree
 from tagparse.encoder import (GATES, MODE_TASKS, PARSER_MODES, TAGS, EncoderConfig,
@@ -134,9 +136,74 @@ def test_predict_labels_each_bucket_with_one_call(corpus, joint_model, monkeypat
     monkeypatch.setattr(tm, "label_logits_pairs", counting)
     joint_model.predict(corpus)
     buckets = {len(s) for s in corpus}
-    # one call in forward (argmax heads) and one for the decoded heads
-    assert len(calls) == 2 * len(buckets)
-    assert sum(calls) == 2 * sum(len(s) for s in corpus)
+    # only the decoded heads are labeled: forward under no_grad scores no argmax heads
+    assert len(calls) == len(buckets)
+    assert sum(calls) == sum(len(s) for s in corpus)
+
+
+@pytest.mark.parametrize("use_mst", [False, True], ids=["greedy", "mst"])
+def test_predict_matches_a_recording_forward_and_the_same_decode(corpus, joint_model,
+                                                                   monkeypatch, use_mst):
+    seen = []
+    forward = Model.forward
+
+    def spying(self, sentences, rng=None):
+        outs = forward(self, sentences, rng)
+        seen.append(outs)
+        return outs
+
+    monkeypatch.setattr(Model, "forward", spying)
+    pred = joint_model.predict(corpus, use_mst=use_mst)
+    # predict recorded no tape, and no labels for the argmax heads
+    assert seen and all(o.arc_scores.parents == () and o.label_logits is None for o in seen)
+    monkeypatch.undo()
+    want = []
+    for n in sorted({len(s) for s in corpus}):
+        bucket = [s for s in corpus if len(s) == n]
+        outs = joint_model.forward(bucket)
+        assert outs.arc_scores.parents != ()
+        filled = [s.copy() for s in bucket]
+        joint_model._fill_tags(filled, outs)
+        joint_model._fill_parse(filled, outs, use_mst)
+        want += filled
+    by_len = sorted(pred, key=len)  # sorted() is stable: bucket order within a length
+    assert _columns(by_len) == _columns(want)
+
+
+def test_label_logits_of_a_forward_by_grad_mode_and_dropout(corpus, joint_model):
+    bucket = [s for s in corpus if len(s) == len(corpus[0])]
+    recorded = joint_model.forward(bucket)
+    # joint_loss reads them, as the gradient checks do on a dropout-free forward
+    assert recorded.label_logits.shape == (len(bucket) * len(bucket[0]),
+                                           joint_model.vocab.n_rels)
+    with ad.no_grad():
+        assert joint_model.forward(bucket).label_logits is None
+        dropped = joint_model.forward(bucket, np.random.default_rng(0))
+    assert dropped.label_logits is not None and dropped.label_logits.parents == ()
+
+
+def test_load_draws_no_random_initialisation(tmp_path, corpus, joint_model, monkeypatch):
+    path = tmp_path / "model.tpt"
+    joint_model.save(path)
+    draws = []
+    for module in (tagparse.encoder, tagparse.heads):
+        real = module.glorot
+
+        def recording(rng, *args, real=real, **kwargs):
+            draws.append(isinstance(rng, np.random.Generator))
+            return real(rng, *args, **kwargs)
+
+        monkeypatch.setattr(module, "glorot", recording)
+    loaded = Model.load(path)
+    # glorot is the one caller of Generator.uniform; no Generator reached it
+    assert draws and not any(draws)
+    monkeypatch.undo()
+    assert list(loaded.params) == list(joint_model.params)
+    for name, param in joint_model.params.items():
+        np.testing.assert_array_equal(loaded.params[name].value, param.value)
+    for use_mst in (False, True):
+        assert (_columns(loaded.predict(corpus, use_mst=use_mst))
+                == _columns(joint_model.predict(corpus, use_mst=use_mst)))
 
 
 def test_save_load_round_trip(tmp_path, corpus, joint_model):

@@ -1,6 +1,9 @@
 """Loss definition, early stopping, jackknife partitioning, target shuffling."""
 
 import collections
+import json
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -15,6 +18,7 @@ from tagparse.model import Model
 from tagparse.optim import AdamState, adam_step
 from tagparse.synthetic import make_corpus
 from tagparse.training import (
+    EpochReport,
     TrainConfig,
     fold_spans,
     jackknife,
@@ -219,6 +223,104 @@ class TestEarlyStopping:
                        log=lambda rep: snapshots.setdefault(rep.epoch, None))
         assert result.best_epoch == 1
         assert len(result.history) == 6
+
+
+    def test_shuffled_supertag_control_keeps_its_max_las_epoch(self, corpus, monkeypatch):
+        # joint correctness peaks at epoch 1, LAS at epoch 2: the control follows LAS
+        dev = iter([{"las": 50.0, "joint_correct": 40.0}, {"las": 70.0, "joint_correct": 20.0},
+                    {"las": 60.0, "joint_correct": 10.0}])
+        monkeypatch.setattr(training, "evaluate_dev", lambda m, d: next(dev))
+        cfg = TrainConfig(mode="joint-pos-stag", batch_size=8, patience=5, max_epochs=3,
+                          seed=0, shuffle_stag=True)
+        result = train(corpus, corpus, cfg, tiny_enc(), tiny_heads())
+        assert result.best_epoch == 2
+        assert [r.dev_score for r in result.history] == [50.0, 70.0, 60.0]
+
+    def test_shuffled_supertag_control_early_stops_on_las(self, corpus):
+        cfg = TrainConfig(mode="joint-pos-stag", batch_size=4, lr=0.02, patience=4,
+                          max_epochs=4, seed=1, shuffle_stag=True)
+        result = train(corpus, corpus, cfg, tiny_enc(), tiny_heads())
+        las = [r.metrics["las"] for r in result.history]
+        assert [r.dev_score for r in result.history] == las
+        assert result.best_epoch == 1 + int(np.argmax(las))
+
+
+class TestStepLifetime:
+    def test_a_step_is_released_before_the_next_forward(self, corpus, monkeypatch):
+        losses, alive = [], []
+        real_loss, real_forward = training.joint_loss, Model.forward
+
+        def recording_loss(*args, **kwargs):
+            loss = real_loss(*args, **kwargs)
+            losses.append(weakref.ref(loss))
+            return loss
+
+        def checking_forward(self, sentences, rng=None):
+            if rng is not None:  # a training forward
+                alive.append((sum(ref() is not None for ref in losses),
+                              sum(p.grad is not None for p in self.params.values())))
+            return real_forward(self, sentences, rng)
+
+        monkeypatch.setattr(training, "joint_loss", recording_loss)
+        monkeypatch.setattr(Model, "forward", checking_forward)
+        cfg = TrainConfig(mode="joint-pos-stag", batch_size=4, patience=1, max_epochs=1)
+        train(corpus, corpus, cfg, tiny_enc(), tiny_heads())
+        assert len(alive) > 2 and alive == [(0, 0)] * len(alive)
+
+    def test_one_training_step_leaves_almost_nothing_behind(self, setup):
+        vocab, _, bucket = setup
+        model = Model(vocab, "joint-pos-stag", tiny_enc(), tiny_heads(),
+                      np.random.default_rng(4))
+        rng, state = np.random.default_rng(5), AdamState(lr=0.01)
+        training._train_step(model, bucket, rng, state, 1)  # allocates the Adam sums
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            training._train_step(model, bucket, rng, state, 1)
+            after, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert after - before < 0.01 * (peak - before)
+
+    def test_backward_releases_the_tape_a_held_loss_would_keep(self, corpus):
+        # a caller that still holds the loss after its step keeps the node
+        # values, but not the closures' saved arrays or interior gradients
+        vocab = Vocabulary.from_corpus(corpus)
+        model = Model(vocab, "joint-pos-stag", tiny_enc(hidden=32, layers=2), tiny_heads(),
+                      np.random.default_rng(6))
+        seq = max({len(s) for s in corpus}, key=lambda n: sum(len(s) == n for s in corpus))
+        bucket = [s for s in corpus if len(s) == seq]
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            loss = joint_loss(model.forward(bucket, np.random.default_rng(7)), bucket,
+                              vocab, model.mode)
+            taped = tracemalloc.get_traced_memory()[0] - base
+            grads = ad.gradients(loss, model.params)
+            del grads
+            ad.zero_grads(model.params)
+            held = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert np.isfinite(loss.value)
+        assert held < 0.6 * taped
+
+
+class TestEpochReport:
+    def test_json_keeps_every_key_and_adds_timing(self):
+        report = EpochReport(3, 1.25, {"uas": 91.0, "las": 90.0}, 90.0, 2.5, 400.0)
+        row = json.loads(report.to_json())
+        assert list(row) == ["epoch", "train_loss", "dev_score", "uas", "las",
+                             "seconds", "tokens_per_s"]
+        assert (row["seconds"], row["tokens_per_s"]) == (2.5, 400.0)
+
+    def test_train_times_each_epoch(self, corpus):
+        cfg = TrainConfig(mode="parser", batch_size=8, patience=1, max_epochs=2, seed=0)
+        result = train(corpus, corpus, cfg, tiny_enc(), tiny_heads())
+        tokens = sum(len(s) for s in corpus)
+        for report in result.history:
+            assert report.seconds > 0
+            assert report.tokens_per_s == pytest.approx(tokens / report.seconds)
 
 
 class TestNonFiniteLoss:
