@@ -19,6 +19,14 @@ stack, so the op reads the stacks without copying them.
 Both directions of every layer are concatenated, and that concatenation,
 after layer dropout, feeds both directions of the next layer.
 
+A batch may mix sentence lengths: its rows are padded on the right to the
+longest, T, and `lengths` gives each row's real length. `lstm_layer` packs
+the real tokens time-major with the rows sorted longest first, so step t
+works on the prefix of the n_t rows longer than t. No padded position is
+projected, stepped or differentiated, the reverse direction starts each
+row at its own last token, and the padded positions of every output are
+zero. With equal lengths n_t = B, and the packed rows are the [T, B] grid.
+
 `MODE_TASKS` is the one table of what each mode predicts: "arcs" (heads and
 labels) and the tag columns "pos" and "stag". `EncoderConfig.input_tags` is
 the one rule for the tag columns a mode reads: the supertagger reads POS,
@@ -32,6 +40,7 @@ layer, applied to the recurrent input h_prev at every step.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -275,8 +284,32 @@ def _stacked(parts: list) -> np.ndarray:
     return np.concatenate(parts)
 
 
+@functools.lru_cache(maxsize=256)
+def _packing(lengths: tuple, seq_len: int) -> tuple:
+    """(order, counts, spans): the packed time-major layout of rows of
+    `lengths` real tokens, padded to `seq_len`.
+
+    `order` sorts the rows longest first, stably, and is None when they
+    already are; step t owns the first counts[t] sorted rows, at packed
+    rows spans[t]. Cached: every layer and direction of a batch, and every
+    batch of the same lengths, share one.
+    """
+    if not lengths or not 1 <= min(lengths) <= max(lengths) <= seq_len:
+        raise ValueError(f"lstm_layer: lengths {list(lengths)} do not fit rows of"
+                         f" 1..{seq_len} tokens")
+    lens = np.array(lengths)
+    counts = (lens[:, None] > np.arange(max(lengths))).sum(axis=0).tolist()
+    ends = np.cumsum(counts).tolist()
+    spans = [slice(end - n, end) for n, end in zip(counts, ends)]
+    order = np.argsort(-lens, kind="stable")
+    if np.all(order == np.arange(len(lens))):
+        return None, counts, spans
+    order.flags.writeable = False
+    return order, counts, spans
+
+
 def lstm_layer(xs: Tensor, params: dict, prefix: str, hidden: int,
-               rec_mask=None, reverse: bool = False) -> Tensor:
+               rec_mask=None, reverse: bool = False, lengths=None) -> Tensor:
     """One direction of one layer over [B, T, d] inputs, as one tape node.
 
     The op sees the gate parameters `{prefix}.W_g` and `{prefix}.b_g`, in the
@@ -285,10 +318,20 @@ def lstm_layer(xs: Tensor, params: dict, prefix: str, hidden: int,
     and one b [G*H]: the stacks that `init_lstm_params` made them views of,
     or a copy when they are not. The per-gate tensors are the op's parents,
     and each gets its row block of the stacked gradients. The input
-    projection of every timestep is one matmul, each step one recurrent
+    projection of every real token is one matmul, each step one recurrent
     matmul of the masked h_prev, and the backward is a hand-written BPTT
     sweep over the cached gate activations and cell states. Returns h_t for
-    every t as [B, T, H]; `reverse` runs from t=T-1.
+    every t as [B, T, H]; `reverse` runs each row from its last token.
+
+    `lengths` holds each row's real length, at most T (all T when None);
+    rows are padded on the right. The real tokens are packed time-major,
+    rows sorted longest first: step t owns the first n_t rows, those longer
+    than t, and works on that prefix alone, forward and backward. So no
+    padded position is projected, stepped or differentiated, and the
+    reverse direction starts each row from zero state at its own last
+    token. Padded positions of the output are zero and pass no gradient
+    back. With equal lengths n_t = B, and packed row t*B + n is token t of
+    row n.
     """
     highway = f"{prefix}.W_r" in params
     gates = GATES + ("r",) if highway else GATES
@@ -301,89 +344,127 @@ def lstm_layer(xs: Tensor, params: dict, prefix: str, hidden: int,
     if w.shape[1] != in_dim + hidden:
         raise ad.ShapeError(f"lstm_layer: {prefix} gates of shape {w.shape} do not take"
                             f" inputs of width {in_dim} and {hidden} hidden units")
+    lens = (seq_len,) * batch if lengths is None else tuple(np.asarray(lengths).tolist())
+    if len(lens) != batch:
+        raise ValueError(f"lstm_layer: {len(lens)} lengths for {batch} rows")
+    order, counts, spans = _packing(lens, seq_len)  # counts[t] is n_t
+    total = sum(counts)
+    # Without padding the packed rows are the [T, B] grid itself, and a transpose
+    # moves rows between the layouts; otherwise each step moves its prefix.
+    full = total == batch * seq_len
+
+    def by_length(a):  # rows longest first: step t reads the prefix a[:n_t, t]
+        return a if order is None else a[order]
+
+    def pack(a, out):  # [B, T, w] rows into the packed rows `out`
+        if full:
+            out.reshape(seq_len, batch, -1)[...] = a.transpose(1, 0, 2)
+            return
+        a = by_length(a)
+        for t, (rows, n) in enumerate(zip(spans, counts)):
+            out[rows] = a[:n, t]
+
+    def unpack(packed):  # packed rows as [B, T, w] rows, zero past each end
+        if full:
+            return packed.reshape(seq_len, batch, -1).transpose(1, 0, 2)
+        out = np.zeros((batch, seq_len, packed.shape[1]))
+        for t, (rows, n) in enumerate(zip(spans, counts)):
+            out[:n, t] = packed[rows]
+        if order is not None:
+            out[order] = out.copy()
+        return out
+
     if rec_mask is not None:
-        rec_mask = np.asarray(rec_mask, dtype=np.float64)
+        rec_mask = by_length(np.asarray(rec_mask, dtype=np.float64))
     w_x, w_rec = w[:, :in_dim], w[:, in_dim:]
-    # time-major rows [x_t | masked h_prev]: row t*B + n is token t of sentence n
-    xh = np.empty((seq_len, batch, in_dim + hidden))
-    xh[:, :, :in_dim] = xs.value.transpose(1, 0, 2)
-    h_ins = xh[:, :, in_dim:]
-    rows = xh.reshape(seq_len * batch, in_dim + hidden)
-    x = rows[:, :in_dim]
-    pre = (x @ w_x.T + b).reshape(seq_len, batch, -1)
-    proj = (x @ w_h.value.T).reshape(seq_len, batch, hidden) if highway else None
+    # packed rows [x_t | masked h_prev], step t's n_t rows after step t-1's
+    xh = np.empty((total, in_dim + hidden))
+    pack(xs.value, xh[:, :in_dim])
+    h_ins = xh[:, in_dim:]
+    x = xh[:, :in_dim]
+    pre = x @ w_x.T + b
+    proj = x @ w_h.value.T if highway else None
     acts = np.empty_like(pre)                  # activated gates
-    tanh_c = np.empty((seq_len, batch, hidden))
-    hs = np.empty((seq_len, batch, hidden))
-    # cells[t + put] holds c_t, and cells[t + get] the c_prev of step t
+    tanh_c = np.empty((total, hidden))
+    hs = np.empty((total, hidden))
+    # cells[t + put, k] holds c_t of sorted row k, and cells[t + get, k] its c_prev
     cells = np.zeros((seq_len + 1, batch, hidden))
     put, get = (0, 1) if reverse else (1, 0)
-    steps = range(seq_len - 1, -1, -1) if reverse else range(seq_len)
+    steps = range(len(counts) - 1, -1, -1) if reverse else range(len(counts))
     rec = np.empty((batch, w.shape[0]))       # h_prev's share of the gate inputs
     tmp = np.empty((batch, hidden))
-    h = np.zeros((batch, hidden))
+    h = hs[:0]
     for t in steps:
+        rows, n = spans[t], counts[t]
+        h_in = h_ins[rows]
+        m = min(n, len(h))  # rows that carry a state; rows starting here carry zeros
         if rec_mask is None:
-            h_ins[t] = h
+            h_in[:m] = h[:m]
         else:
-            np.multiply(h, rec_mask, out=h_ins[t])
-        z, a = pre[t], acts[t]
-        z += np.matmul(h_ins[t], w_rec.T, out=rec)
+            np.multiply(h[:m], rec_mask[:m], out=h_in[:m])
+        if m < n:
+            h_in[m:] = 0.0
+        z, a, tc, part = pre[rows], acts[rows], tanh_c[rows], tmp[:n]
+        z += np.matmul(h_in, w_rec.T, out=rec[:n])
         ad.sigmoid_array(z, out=a)  # the c block is overwritten with its tanh below
         i, f, c_tilde, o = (a[:, k * hidden : (k + 1) * hidden] for k in range(4))
         np.tanh(z[:, 2 * hidden : 3 * hidden], out=c_tilde)
-        c = cells[t + put]
-        np.multiply(f, cells[t + get], out=c)
-        c += np.multiply(i, c_tilde, out=tmp)
-        np.tanh(c, out=tanh_c[t])
-        h = np.multiply(o, tanh_c[t], out=hs[t])
+        c = cells[t + put][:n]
+        np.multiply(f, cells[t + get][:n], out=c)
+        c += np.multiply(i, c_tilde, out=part)
+        np.tanh(c, out=tc)
+        h = np.multiply(o, tc, out=hs[rows])
         if highway:
             r = a[:, 4 * hidden :]
             h *= r
-            np.subtract(1.0, r, out=tmp)
-            h += np.multiply(tmp, proj[t], out=tmp)
+            np.subtract(1.0, r, out=part)
+            h += np.multiply(part, proj[rows], out=part)
 
     def bwd(g):
-        g = g.transpose(1, 0, 2)
+        g = by_length(g)
         dz = np.empty_like(acts)
         dproj = np.empty_like(tanh_c) if highway else None
-        dh_rec = np.zeros((batch, hidden))  # d loss / d h_t through step t+1's h_prev
+        # d loss / d h_t through step t+1's h_prev, and d loss / d c_t, per sorted row;
+        # step t reads the first n_t rows, and a row's first step finds zeros there
+        dh_rec = np.zeros((batch, hidden))
         dc = np.zeros((batch, hidden))
         for t in reversed(steps):
-            a, d = acts[t], dz[t]
+            rows, n = spans[t], counts[t]
+            a, d, tc = acts[rows], dz[rows], tanh_c[rows]
             i, f, c_tilde, o = (a[:, k * hidden : (k + 1) * hidden] for k in range(4))
-            dh = g[t] + dh_rec
+            dh = g[:n, t] + dh_rec[:n]
             if highway:
                 r = a[:, 4 * hidden :]
-                d[:, 4 * hidden :] = dh * (o * tanh_c[t] - proj[t]) * r * (1.0 - r)
-                dproj[t] = dh * (1.0 - r)
+                d[:, 4 * hidden :] = dh * (o * tc - proj[rows]) * r * (1.0 - r)
+                dproj[rows] = dh * (1.0 - r)
                 dh = dh * r
-            dc = dc + dh * o * (1.0 - tanh_c[t] * tanh_c[t])
-            d[:, :hidden] = dc * c_tilde * i * (1.0 - i)
-            d[:, hidden : 2 * hidden] = dc * cells[t + get] * f * (1.0 - f)
-            d[:, 2 * hidden : 3 * hidden] = dc * i * (1.0 - c_tilde * c_tilde)
-            d[:, 3 * hidden : 4 * hidden] = dh * tanh_c[t] * o * (1.0 - o)
-            dc = dc * f
-            dh_rec = d @ w_rec
+            dc_t = dc[:n] + dh * o * (1.0 - tc * tc)
+            d[:, :hidden] = dc_t * c_tilde * i * (1.0 - i)
+            d[:, hidden : 2 * hidden] = dc_t * cells[t + get][:n] * f * (1.0 - f)
+            d[:, 2 * hidden : 3 * hidden] = dc_t * i * (1.0 - c_tilde * c_tilde)
+            d[:, 3 * hidden : 4 * hidden] = dh * tc * o * (1.0 - o)
+            np.multiply(dc_t, f, out=dc[:n])
+            np.matmul(d, w_rec, out=dh_rec[:n])
             if rec_mask is not None:
-                dh_rec *= rec_mask
-        flat = dz.reshape(seq_len * batch, -1)
-        dx = flat @ w_x
-        grads = np.split(flat.T @ rows, len(gates)) + np.split(flat.sum(axis=0), len(gates))
+                dh_rec[:n] *= rec_mask[:n]
+        dx = dz @ w_x
+        grads = np.split(dz.T @ xh, len(gates)) + np.split(dz.sum(axis=0), len(gates))
         if highway:
-            dp = dproj.reshape(seq_len * batch, hidden)
-            dx += dp @ w_h.value
-            grads.append(dp.T @ x)
-        return (dx.reshape(seq_len, batch, in_dim).transpose(1, 0, 2), *grads)
+            dx += dproj @ w_h.value
+            grads.append(dproj.T @ x)
+        return (unpack(dx), *grads)
 
     parents = (xs, *w_parts, *b_parts) + ((w_h,) if highway else ())
-    out = np.ascontiguousarray(hs.transpose(1, 0, 2))
-    return Tensor(out, parents=parents, op="lstm_layer", backward=bwd)
+    return Tensor(np.ascontiguousarray(unpack(hs)), parents=parents, op="lstm_layer", backward=bwd)
 
 
 def bilstm_stack(inputs: Tensor, params: dict, config: EncoderConfig,
-                 masks: dict | None = None) -> Tensor:
-    """Run the stack over [B, T, d] inputs; returns [B, T, 2*hidden]."""
+                 masks: dict | None = None, lengths=None) -> Tensor:
+    """Run the stack over [B, T, d] inputs; returns [B, T, 2*hidden].
+
+    `lengths` holds each row's real length when rows are right-padded
+    (see `lstm_layer`); the padded positions of the output are zero.
+    """
     if config.layers < 1:
         raise ValueError("bilstm_stack: need at least one layer")
     batch, seq_len, _ = inputs.shape
@@ -398,6 +479,7 @@ def bilstm_stack(inputs: Tensor, params: dict, config: EncoderConfig,
             inputs = ad.dropout_with_mask(inputs, masks[("layer", layer - 1)])
         inputs = ad.concat([
             lstm_layer(inputs, params, f"lstm.{layer}.{direction}", config.hidden,
-                       masks.get(("rec", layer, direction)), reverse=direction == "bw")
+                       masks.get(("rec", layer, direction)), reverse=direction == "bw",
+                       lengths=lengths)
             for direction in ("fw", "bw")], axis=2)
     return inputs

@@ -1,10 +1,18 @@
 """Full model: encoder + scoring heads for one mode, with save/load.
 
-Forward passes run over buckets of B same-length sentences of T tokens,
-and every head gives one tensor per bucket: arc scores [B, T, T+1] (column
-0 = ROOT), and label, POS and supertag scores with one row per token,
-sentence-major. The encoder sees T rows per sentence in tagger modes and
-T+1 in parser modes, with the zero ROOT row at index 0.
+A forward pass takes B sentences of any lengths, in any order, and pads
+them on the right to the longest, T tokens. The encoder sees T rows per
+sentence in tagger modes and T+1 in parser modes, with the zero ROOT row
+at index 0; `lstm_layer` packs the real rows time-major, so it steps no
+padded position. The heads project the real rows alone, packed sentence
+after sentence (the "feature rows"), and give one tensor per batch: arc
+scores [B, T, T+1] (column 0 = ROOT, padded head columns -inf), and label,
+POS and supertag scores with one row per real token, sentence-major. With
+equal lengths nothing is padded, and the feature rows are the [B, T(+1)]
+grid in row-major order.
+
+`predict` sorts its input by length and runs one forward per chunk of at
+most PREDICT_ROWS padded encoder rows.
 """
 
 from __future__ import annotations
@@ -39,30 +47,57 @@ from .heads import (
 from .serialize import FormatError, load_tensors, save_tensors
 from .vocab import Vocabulary
 
-__all__ = ["Model", "BatchOutputs"]
+__all__ = ["Model", "BatchOutputs", "PREDICT_ROWS"]
+
+# Padded encoder rows (sentences times the longest length, ROOT included) of
+# one prediction forward: `predict` cuts its length-sorted input into chunks of
+# at most this many. Measured on a 2-core host over the benchmark's held-out
+# sets, as predict time per token and the tracemalloc peak of one pass:
+# - hidden 400 (paper-dims: 114 sentences of 3-11 tokens, 2 BLAS threads):
+#   1033 us at 64 rows, 673 us at 512, 612 us at 1024, and 499-534 us once
+#   all 1368 padded rows are one chunk, against 650-868 us for one forward
+#   per length. A recurrent step reads all of W_rec [2000, 400] whatever its
+#   row count, so fewer, fuller steps keep paying. The peak grows by about
+#   50 KB per padded row: 31 MB at 512 rows, 73 MB at 1368.
+# - hidden 64 (short-joint: 200 sentences of 2-11 tokens, 1 thread): 110 us
+#   at 64 rows, 84 us at 256, and flat at 68-78 us from 512 rows up; the
+#   peak is 18 MB at 2048.
+# 2048 keeps either set in one or two chunks, and bounds the passing memory
+# of a chunk at the paper's sizes near 100 MB, under half of what the
+# parameters and their Adam moments hold.
+PREDICT_ROWS = 2048
 
 
 @dataclass
 class BatchOutputs:
-    """Per-bucket head outputs, aligned to the sentences that produced them."""
+    """Per-batch head outputs, aligned to the sentences that produced them."""
 
     sentences: list
-    arc_scores: Tensor | None = None    # [B, T, T+1]: [b, i-1, j] scores head j of token i
-    # [B*T, r], sentence-major; None from a forward under no_grad without rng
+    # [B, T, T+1], T the longest sentence: [b, i-1, j] scores head j of token i;
+    # -inf past a sentence's ROOT and tokens, and rows past its end mean nothing
+    arc_scores: Tensor | None = None
+    # [N, r], a row per real token, sentence-major; None from a forward under
+    # no_grad without rng
     label_logits: Tensor | None = None
-    pos_logits: Tensor | None = None    # [B*T, n_pos]
-    stag_logits: Tensor | None = None   # [B*T, n_stags]
-    rel_dep: Tensor | None = None       # projection rows kept for labeling
+    pos_logits: Tensor | None = None    # [N, n_pos]
+    stag_logits: Tensor | None = None   # [N, n_stags]
+    rel_dep: Tensor | None = None       # feature rows kept for labeling
     rel_head: Tensor | None = None      # decoded arcs at prediction time
 
     @property
+    def lengths(self) -> np.ndarray:
+        return np.array([len(s) for s in self.sentences])
+
+    @property
     def arc_logits(self) -> list | None:
-        """Per-sentence [T, T+1] slices of `arc_scores`, on the tape unless under no_grad."""
+        """Per-sentence [n, n+1] slices of `arc_scores`, on the tape unless under no_grad."""
         if self.arc_scores is None:
             return None
-        batch, seq, cols = self.arc_scores.shape
-        return [ad.reshape(ad.slice_axis(self.arc_scores, 0, b, b + 1), (seq, cols))
-                for b in range(batch)]
+        out = []
+        for b, n in enumerate(self.lengths.tolist()):
+            rows = ad.slice_axis(ad.slice_axis(self.arc_scores, 0, b, b + 1), 1, 0, n)
+            out.append(ad.reshape(ad.slice_axis(rows, 2, 0, n + 1), (n, n + 1)))
+        return out
 
 
 def _input_tag(tok, tag: str) -> str:
@@ -105,79 +140,99 @@ class Model:
         return table, {f: i for i, f in enumerate(unique)}
 
     def _input_batch(self, sentences: list) -> Tensor:
-        batch = len(sentences)
-        forms = [t.form for s in sentences for t in s.tokens]
+        """Encoder inputs [B, T(+1), d_in], right-padded to the longest sentence.
+
+        A padded position reads row 0 of every table (the PAD word).
+        """
+        lengths = np.array([len(s) for s in sentences])
+        real = np.arange(lengths.max()) < lengths[:, None]
+        tokens = [t for s in sentences for t in s.tokens]
+        forms = [t.form for t in tokens]
         char_table, char_idx = self._char_table(forms)
-        word_ids = np.array([[self.vocab.word_id(t.form) for t in s.tokens]
-                             for s in sentences])
-        parts = [ad.embedding_lookup(self.params["emb.word"], word_ids)]
+
+        def grid(ids):
+            out = np.zeros(real.shape, dtype=np.int64)
+            out[real] = ids
+            return out
+
+        parts = [ad.embedding_lookup(self.params["emb.word"],
+                                     grid([self.vocab.word_id(f) for f in forms]))]
         for tag in self.enc_config.input_tags(self.mode):
-            tag_ids = np.array([[self.vocab.tag_id(tag, _input_tag(t, tag)) for t in s.tokens]
-                                for s in sentences])
-            parts.append(ad.embedding_lookup(self.params[f"emb.{tag}"], tag_ids))
-        char_rows = np.array([[char_idx[t.form] for t in s.tokens] for s in sentences])
-        parts.append(ad.embedding_lookup(char_table, char_rows))
+            ids = grid([self.vocab.tag_id(tag, _input_tag(t, tag)) for t in tokens])
+            parts.append(ad.embedding_lookup(self.params[f"emb.{tag}"], ids))
+        parts.append(ad.embedding_lookup(char_table, grid([char_idx[f] for f in forms])))
         mat = ad.concat(parts, axis=2)  # [B, T, d_in]
         if self.with_root:
-            root = Tensor(np.zeros((batch, 1, mat.shape[2])))
+            root = Tensor(np.zeros((len(sentences), 1, mat.shape[2])))
             mat = ad.concat([root, mat], axis=1)
         return mat
 
     # ----- forward --------------------------------------------------------
 
     def forward(self, sentences: list, rng: np.random.Generator | None = None) -> BatchOutputs:
-        """Head outputs for one bucket; pass `rng` to enable training dropout.
+        """Head outputs for sentences of any lengths; pass `rng` to enable
+        training dropout.
 
-        Labels are scored on the gold heads with `rng` and on the argmax
-        heads without it. Under `ad.no_grad` without `rng` they are not
-        scored: a prediction labels its decoded heads instead.
+        Outputs follow the order of `sentences`. Labels are scored on the
+        gold heads with `rng` and on the argmax heads without it. Under
+        `ad.no_grad` without `rng` they are not scored: a prediction labels
+        its decoded heads instead.
         """
         if not sentences:
-            raise ValueError("forward: empty bucket")
-        lengths = {len(s) for s in sentences}
-        if len(lengths) != 1:
-            raise ValueError(f"forward: bucket mixes sentence lengths {sorted(lengths)}")
-        (seq,) = lengths
-        if seq == 0:
+            raise ValueError("forward: no sentences")
+        lengths = np.array([len(s) for s in sentences])
+        if lengths.min() == 0:
             raise ValueError("forward: empty sentence")
-        batch = len(sentences)
-        rows = seq + 1 if self.with_root else seq
+        batch, root = len(sentences), int(self.with_root)
+        width = int(lengths.max()) + root  # encoder rows of each padded sentence
+        real = np.arange(width) < (lengths + root)[:, None]  # [B, W] rows to encode
+        padded = not real.all()
         inputs = self._input_batch(sentences)
+        feat_rows = int(real.sum())
         masks = None
         mlp_mask = None
         if rng is not None:
-            masks = make_dropout_masks(rng, self.enc_config, batch, rows,
+            masks = make_dropout_masks(rng, self.enc_config, batch, width,
                                        self.enc_config.input_dim(self.mode))
             p = self.head_config.mlp_dropout
             if p > 0:
-                mlp_mask = (rng.random((batch * rows, 2 * self.enc_config.hidden)) >= p) / (1 - p)
-        encoded = bilstm_stack(inputs, self.params, self.enc_config, masks)
-        flat = ad.reshape(encoded, (batch * rows, 2 * self.enc_config.hidden))
+                mlp_mask = (rng.random((feat_rows, 2 * self.enc_config.hidden)) >= p) / (1 - p)
+        encoded = bilstm_stack(inputs, self.params, self.enc_config, masks, lengths + root)
+        flat = ad.reshape(encoded, (batch * width, 2 * self.enc_config.hidden))
+        if padded:  # the heads project the real rows alone
+            flat = ad.embedding_lookup(flat, np.flatnonzero(real))
         feats = head_features(flat, self.params, mlp_mask)
         out = BatchOutputs(sentences=list(sentences))
-        token_rows = self._token_rows(batch, seq)
+        starts, token_rows = self._feature_rows(lengths)
         if "arcs" in self.tasks:
-            out.arc_scores = arc_logit_matrix(
-                ad.embedding_lookup(feats.arc_dep, token_rows.reshape(batch, seq)),
-                ad.reshape(feats.arc_head, (batch, rows, -1)), self.params)
+            # the feature row of every grid position; a padded one reads its sentence's ROOT
+            at = np.where(real, starts[:, None] + np.arange(width), starts[:, None])
+            out.arc_scores = arc_logit_matrix(ad.embedding_lookup(feats.arc_dep, at[:, 1:]),
+                                              ad.embedding_lookup(feats.arc_head, at),
+                                              self.params)
+            if padded:  # no token takes a padded head (Dozat & Manning 2017)
+                out.arc_scores = ad.add(out.arc_scores,
+                                        np.where(real, 0.0, -np.inf)[:, None, :])
             out.rel_dep, out.rel_head = feats.rel_dep, feats.rel_head
             if rng is not None or ad.is_grad_enabled():
-                head_rows = self._head_rows(sentences, rows, rng is not None, out.arc_scores)
+                head_rows = self._head_rows(sentences, starts, rng is not None, out.arc_scores)
                 out.label_logits = self._label_logits(out, token_rows, head_rows)
         for tag, logits in zip(TAGS, (pos_logits, stag_logits)):
             if tag in self.tasks:
-                rows = ad.embedding_lookup(getattr(feats, tag), token_rows)
-                setattr(out, f"{tag}_logits", logits(rows, self.params))
+                tag_rows = ad.embedding_lookup(getattr(feats, tag), token_rows)
+                setattr(out, f"{tag}_logits", logits(tag_rows, self.params))
         return out
 
-    def _token_rows(self, batch: int, seq: int) -> np.ndarray:
-        """Feature-row index of every real token of a bucket, sentence-major.
-
-        Sentence b owns rows b*(T+1) .. b*(T+1)+T, ROOT first, in parser
-        modes, and rows b*T .. b*T+T-1 in tagger modes.
-        """
+    def _feature_rows(self, lengths: np.ndarray) -> tuple:
+        """(starts, token_rows): the feature row where each sentence begins
+        (at its ROOT in parser modes), and the row of every real token,
+        sentence-major."""
         root = int(self.with_root)
-        return (np.arange(batch)[:, None] * (seq + root) + root + np.arange(seq)).ravel()
+        sizes = lengths + root
+        starts = np.cumsum(sizes) - sizes
+        token_rows = np.arange(lengths.sum()) + root * np.repeat(np.arange(1, len(sizes) + 1),
+                                                                 lengths)
+        return starts, token_rows
 
     def _label_logits(self, outs: BatchOutputs, dep_rows, head_rows) -> Tensor:
         """Relation scores for the arcs head_rows[k] -> dep_rows[k]."""
@@ -188,31 +243,33 @@ class Model:
             self.params,
         )
 
-    def _head_rows(self, sentences, rows, training, arc_scores) -> np.ndarray:
-        """Global feature-row index of each token's head for label scoring.
+    def _head_rows(self, sentences, starts, training, arc_scores) -> np.ndarray:
+        """Feature row of each real token's head for label scoring.
 
         Training conditions on the gold heads, a forward without dropout on
         the current arc argmax.
         """
+        lengths = np.array([len(s) for s in sentences])
         if training:
-            heads = np.array([[t.head for t in s.tokens] for s in sentences], dtype=np.int64)
-        else:
-            heads = np.argmax(arc_scores.value, axis=2)
-        return (np.arange(len(sentences))[:, None] * rows + heads).ravel()
+            heads = np.array([t.head for s in sentences for t in s.tokens], dtype=np.int64)
+            return np.repeat(starts, lengths) + heads
+        real = np.arange(arc_scores.shape[1]) < lengths[:, None]
+        return (starts[:, None] + np.argmax(arc_scores.value, axis=2))[real]
 
     # ----- prediction -----------------------------------------------------
 
     @ad.no_grad()
     def predict(self, sentences: list, use_mst: bool = False) -> list:
-        """Fill predicted columns on copies of the input sentences; no tape is built."""
-        by_len: dict = {}
-        for pos, sent in enumerate(sentences):
-            by_len.setdefault(len(sent), []).append(pos)
+        """Fill predicted columns on copies of the input sentences; no tape is built.
+
+        Sentences are encoded in chunks of similar length, one forward each,
+        and returned in input order.
+        """
         results: list = [None] * len(sentences)
-        for _, positions in sorted(by_len.items()):
-            bucket = [sentences[p] for p in positions]
-            outs = self.forward(bucket)
-            filled = [sent.copy() for sent in bucket]
+        for positions in self._chunks(sentences):
+            chunk = [sentences[p] for p in positions]
+            outs = self.forward(chunk)
+            filled = [sent.copy() for sent in chunk]
             self._fill_tags(filled, outs)
             if "arcs" in self.tasks:
                 self._fill_parse(filled, outs, use_mst)
@@ -220,9 +277,22 @@ class Model:
                 results[pos] = sent
         return results
 
-    def _fill_tags(self, bucket: list, outs: BatchOutputs) -> None:
-        """Argmax POS and supertags of a whole bucket; rows are sentence-major."""
-        tokens = [tok for sent in bucket for tok in sent.tokens]
+    def _chunks(self, sentences: list) -> list:
+        """Input positions, shortest sentence first, cut into chunks of at most
+        PREDICT_ROWS padded encoder rows (a longer sentence is a chunk alone)."""
+        root = int(self.with_root)
+        chunks: list = []
+        chunk: list = []
+        for pos in sorted(range(len(sentences)), key=lambda p: len(sentences[p])):
+            if chunk and (len(chunk) + 1) * (len(sentences[pos]) + root) > PREDICT_ROWS:
+                chunks.append(chunk)
+                chunk = []
+            chunk.append(pos)
+        return chunks + [chunk] if chunk else chunks
+
+    def _fill_tags(self, chunk: list, outs: BatchOutputs) -> None:
+        """Argmax POS and supertags of a whole chunk; rows are sentence-major."""
+        tokens = [tok for sent in chunk for tok in sent.tokens]
         for tag in TAGS:
             if tag in self.tasks:
                 names = self.vocab.inverse(self.vocab.tags(tag))
@@ -230,21 +300,22 @@ class Model:
                 for tok, i in zip(tokens, np.argmax(logits, axis=1)):
                     setattr(tok, PRED_FIELD[tag], names[int(i)])
 
-    def _fill_parse(self, bucket: list, outs: BatchOutputs, use_mst: bool) -> None:
-        """Decode every sentence of a bucket, then label all decoded arcs at once."""
-        seq = len(bucket[0])
+    def _fill_parse(self, chunk: list, outs: BatchOutputs, use_mst: bool) -> None:
+        """Decode every sentence of a chunk, then label all decoded arcs at once."""
+        lengths = outs.lengths
         decoded = []
-        for probs in ad.softmax(outs.arc_scores, axis=-1).value:
-            sm = ScoreMatrix.from_distributions(probs)
+        for probs, n in zip(ad.softmax(outs.arc_scores, axis=-1).value, lengths.tolist()):
+            sm = ScoreMatrix.from_distributions(probs[:n, : n + 1])
             decoded.append(chu_liu_edmonds(sm) if use_mst else enforce_tree(sm, greedy_heads(sm)))
         # labels condition on the final decoded head of each token
-        offsets = np.arange(len(bucket))[:, None] * (seq + 1)
-        head_rows = (offsets + np.stack(decoded)[:, 1:]).ravel()
-        logits = self._label_logits(outs, self._token_rows(len(bucket), seq), head_rows)
+        starts, token_rows = self._feature_rows(lengths)
+        head_rows = np.repeat(starts, lengths) + np.concatenate([h[1:] for h in decoded])
+        logits = self._label_logits(outs, token_rows, head_rows)
         label_probs = ad.softmax(logits, axis=-1).value
         names = self.vocab.inverse(self.vocab.rels)
-        for local, (filled, heads) in enumerate(zip(bucket, decoded)):
-            labels = assign_labels(heads, label_probs[local * seq : (local + 1) * seq])
+        ends = np.cumsum(lengths).tolist()
+        for filled, heads, end in zip(chunk, decoded, ends):
+            labels = assign_labels(heads, label_probs[end - len(filled) : end])
             for i, tok in enumerate(filled.tokens, start=1):
                 tok.head = int(heads[i])
                 tok.rel = names[int(labels[i])]

@@ -4,6 +4,7 @@ jackknifing, and the shuffled-supertag control."""
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass
 
@@ -57,13 +58,15 @@ class EpochReport:
     dev_score: float
     seconds: float       # wall time of the epoch's training steps, dev scoring apart
     tokens_per_s: float  # training tokens over `seconds`
+    grad_norm: float     # the largest global gradient norm of the epoch's steps
 
     def to_json(self) -> str:
         return json.dumps(
             {"epoch": self.epoch, "train_loss": round(self.train_loss, 6),
              "dev_score": round(self.dev_score, 4),
              **{k: round(v, 4) for k, v in self.metrics.items()},
-             "seconds": round(self.seconds, 3), "tokens_per_s": round(self.tokens_per_s, 1)}
+             "seconds": round(self.seconds, 3), "tokens_per_s": round(self.tokens_per_s, 1),
+             "grad_norm": round(self.grad_norm, 6)}
         )
 
 
@@ -78,19 +81,24 @@ def joint_loss(outputs: BatchOutputs, sentences: list, vocab: Vocabulary,
                mode: str) -> ad.Tensor:
     """Sum of per-token cross-entropies over the tasks `MODE_TASKS[mode]`.
 
-    Tagging losses skip the ROOT row by construction (outputs carry real
-    tokens only).
+    Only real tokens count: tagging and label outputs carry no other rows,
+    and the arc rows of padded positions are left out.
     """
-    if [len(s) for s in outputs.sentences] != [len(s) for s in sentences]:
+    lengths = np.array([len(s) for s in sentences])
+    if outputs.lengths.tolist() != lengths.tolist():
         raise ValueError("joint_loss: outputs and gold sentences are misaligned")
     tasks = MODE_TASKS[mode]
     parts = []
     if "arcs" in tasks:
-        gold_heads = np.array([[t.head for t in s.tokens] for s in sentences])
-        if gold_heads.shape != outputs.arc_scores.shape[:2]:
+        batch, seq, heads = outputs.arc_scores.shape
+        if (batch, seq) != (len(sentences), lengths.max()):
             raise ValueError("joint_loss: arc scores misaligned with sentences")
-        arc = ad.reshape(outputs.arc_scores, (gold_heads.size, -1))  # [B*T, T+1]
-        parts.append(ad.reduce_sum(ad.cross_entropy_with_logits(arc, gold_heads.ravel())))
+        arc = ad.reshape(outputs.arc_scores, (batch * seq, heads))  # [B*T, T+1]
+        real = np.arange(seq) < lengths[:, None]
+        if not real.all():
+            arc = ad.embedding_lookup(arc, np.flatnonzero(real))
+        gold_heads = np.array([t.head for s in sentences for t in s.tokens])
+        parts.append(ad.reduce_sum(ad.cross_entropy_with_logits(arc, gold_heads)))
         rel_ids = np.array([vocab.rel_id(t.rel) for s in sentences for t in s.tokens])
         parts.append(ad.reduce_sum(ad.cross_entropy_with_logits(outputs.label_logits, rel_ids)))
     for tag in TAGS:
@@ -173,16 +181,18 @@ def train(train_corpus: list, dev_corpus: list, config: TrainConfig,
     best_score, best_epoch, best_params = -np.inf, 0, None
     history, stall = [], 0
     for epoch in range(1, config.max_epochs + 1):
-        total_loss, total_tokens = 0.0, 0
+        total_loss, total_tokens, max_norm = 0.0, 0, 0.0
         start = time.perf_counter()
         for batch in make_batches(train_corpus, config.batch_size, rng):
-            total_loss += _train_step(model, batch, rng, state, epoch)
+            loss, norm = _train_step(model, batch, rng, state, epoch)
+            total_loss += loss
+            max_norm = max(max_norm, norm)
             total_tokens += sum(len(s) for s in batch)
         seconds = time.perf_counter() - start
         metrics = evaluate_dev(model, dev_corpus)
         score = dev_criterion(criterion_mode, metrics)
         report = EpochReport(epoch, total_loss / max(total_tokens, 1), metrics, score,
-                             seconds, total_tokens / seconds)
+                             seconds, total_tokens / seconds, max_norm)
         history.append(report)
         if log is not None:
             log(report)
@@ -200,20 +210,27 @@ def train(train_corpus: list, dev_corpus: list, config: TrainConfig,
     return TrainResult(model=model, history=history, best_epoch=best_epoch)
 
 
-def _train_step(model: Model, batch: list, rng, state: AdamState, epoch: int) -> float:
-    """One Adam step on one batch; returns the batch's summed loss.
+def _train_step(model: Model, batch: list, rng, state: AdamState, epoch: int) -> tuple:
+    """One Adam step on one batch; returns the batch's summed loss and the
+    global norm of its gradients.
 
-    The step's tape, loss and gradients die on return, before the next
-    step's forward.
+    A non-finite loss or gradient norm raises FloatingPointError before
+    `adam_step` changes anything. The step's tape, loss and gradients die
+    on return, before the next step's forward.
     """
     loss = joint_loss(model.forward(batch, rng), batch, model.vocab, model.mode)
+    where = f"in epoch {epoch} on a batch of {len(batch)} sentences of length {len(batch[0])}"
     if not np.isfinite(loss.value):
-        raise FloatingPointError(
-            f"train: loss {float(loss.value)} in epoch {epoch} on a batch of "
-            f"{len(batch)} sentences of length {len(batch[0])}")
-    adam_step(model.params, ad.gradients(loss, model.params), state)
+        raise FloatingPointError(f"train: loss {float(loss.value)} {where}")
+    grads = ad.gradients(loss, model.params)
+    norm = math.sqrt(sum(float(np.vdot(g, g)) for g in grads.values()))
+    if not math.isfinite(norm):
+        bad = next((name for name, g in grads.items() if not np.isfinite(g).all()), None)
+        cause = f"the gradient of {bad} is not finite" if bad else "it overflows"
+        raise FloatingPointError(f"train: gradient norm {norm} {where}: {cause}")
+    adam_step(model.params, grads, state)
     ad.zero_grads(model.params)
-    return float(loss.value)
+    return float(loss.value), norm
 
 
 @dataclass

@@ -480,6 +480,80 @@ def test_fused_stack_matches_stepwise_oracle(highway, layers, seq_len, masked):
                                    err_msg=name)
 
 
+class TestPackedLengths:
+    """Right-padded rows of mixed lengths, packed time-major inside `lstm_layer`."""
+
+    @pytest.mark.parametrize("masked", [False, True], ids=["no-masks", "masks"])
+    @pytest.mark.parametrize("highway", [False, True], ids=["lstm", "highway"])
+    def test_each_row_matches_the_stepwise_oracle_alone(self, highway, masked):
+        config = EncoderConfig(hidden=4, layers=2, highway=highway, dropout_input=0.3,
+                               dropout_layer=0.3, dropout_recurrent=0.3)
+        rng = np.random.default_rng(27)
+        params = stack_params(rng, config, 3)
+        lengths = np.array([3, 1, 7, 4, 7])  # unsorted, with a tie and a one-token row
+        x0 = rng.normal(size=(5, 7, 3))
+        weights = rng.normal(size=(5, 7, 8))
+        masks = make_dropout_masks(rng, config, 5, 7, 3) if masked else {}
+        x = ad.parameter(x0)
+        out = bilstm_stack(x, params, config, masks, lengths)
+        grads = ad.gradients(ad.reduce_sum(ad.mul(out, Tensor(weights))), params)
+        want_grads = {name: 0.0 for name in params}
+        for b, n in enumerate(lengths):
+            alone = {k: (m[b : b + 1] if k[0] == "rec" else m[b : b + 1, :n])
+                     for k, m in masks.items()}
+            xb = ad.parameter(x0[b : b + 1, :n])
+            want = stepwise_bilstm_stack(xb, params, config, alone)
+            row = ad.gradients(ad.reduce_sum(ad.mul(want, Tensor(weights[b : b + 1, :n]))),
+                               params)
+            np.testing.assert_allclose(out.value[b, :n], want.value[0], atol=1e-12, rtol=0)
+            np.testing.assert_allclose(x.grad[b, :n], xb.grad[0], atol=1e-12, rtol=0)
+            assert not out.value[b, n:].any() and not x.grad[b, n:].any()
+            for name in params:
+                want_grads[name] = want_grads[name] + row[name]
+        for name in params:
+            np.testing.assert_allclose(grads[name], want_grads[name], atol=1e-12, rtol=0,
+                                       err_msg=name)
+
+    def test_equal_lengths_are_the_unpacked_layer(self):
+        config = EncoderConfig(hidden=4, layers=1)
+        params = stack_params(np.random.default_rng(28), config, 3)
+        x = Tensor(np.random.default_rng(29).normal(size=(3, 5, 3)))
+        for reverse in (False, True):
+            plain = lstm_layer(x, params, "lstm.0.fw", 4, reverse=reverse)
+            packed = lstm_layer(x, params, "lstm.0.fw", 4, reverse=reverse, lengths=[5, 5, 5])
+            np.testing.assert_array_equal(packed.value, plain.value)
+
+    @pytest.mark.parametrize("reverse", [False, True], ids=["fw", "bw"])
+    @pytest.mark.parametrize("name", ["x", "W_i", "b_f", "W_c", "W_o", "W_r", "b_r", "W_h"])
+    def test_gradient_by_finite_differences(self, name, reverse):
+        rng = np.random.default_rng(30)
+        params = stack_params(rng, EncoderConfig(hidden=3, layers=1, highway=True), 2)
+        lengths = [2, 4, 1]
+        x0 = rng.normal(size=(3, 4, 2))
+        rec_mask = (rng.random((3, 3)) >= 0.3) / 0.7
+        weights = Tensor(rng.normal(size=(3, 4, 3)))
+        target = x0 if name == "x" else params[f"lstm.0.fw.{name}"].value
+
+        def f(value):
+            saved = target.copy()
+            target[...] = value
+            out = lstm_layer(Tensor(x0), params, "lstm.0.fw", 3, rec_mask, reverse, lengths)
+            target[...] = saved
+            return float(ad.reduce_sum(ad.mul(out, weights)).value)
+
+        x = ad.parameter(x0)
+        out = lstm_layer(x, params, "lstm.0.fw", 3, rec_mask, reverse, lengths)
+        grads = ad.gradients(ad.reduce_sum(ad.mul(out, weights)), dict(params, x=x))
+        key = "x" if name == "x" else f"lstm.0.fw.{name}"
+        assert rel_err(grads[key], numeric_grad(f, target.copy())) < 1e-6
+
+    @pytest.mark.parametrize("lengths", [[3, 0], [3, 5], [3]], ids=["empty", "long", "count"])
+    def test_lengths_that_do_not_fit_are_rejected(self, lengths):
+        params = stack_params(np.random.default_rng(31), EncoderConfig(hidden=4, layers=1), 3)
+        with pytest.raises(ValueError, match="lengths"):
+            lstm_layer(Tensor(np.zeros((2, 4, 3))), params, "lstm.0.fw", 4, lengths=lengths)
+
+
 def sentence(words, pos=None, stags=None):
     pos = pos or ["NN"] * len(words)
     stags = stags or ["tN"] * len(words)

@@ -15,7 +15,8 @@ from tagparse.encoder import (GATES, MODE_TASKS, PARSER_MODES, TAGS, EncoderConf
 from tagparse.heads import HeadConfig
 from tagparse.model import Model
 from tagparse.serialize import FormatError, load_tensors, save_tensors
-from tagparse.synthetic import make_corpus
+from tagparse.synthetic import make_corpus, random_tree_corpus
+from tagparse.training import joint_loss
 from tagparse.vocab import Vocabulary
 
 
@@ -56,11 +57,50 @@ def test_batched_encoder_matches_per_sentence_path(corpus, joint_model):
     np.testing.assert_allclose(batched, single, atol=1e-12)
 
 
-def test_forward_rejects_mixed_lengths(joint_model, corpus):
-    lens = {len(s) for s in corpus}
-    assert len(lens) > 1
-    with pytest.raises(ValueError):
-        joint_model.forward(corpus)
+@pytest.fixture(scope="module")
+def mixed():
+    """Shuffled sentences of 1 to 60 tokens, with repeated lengths."""
+    corpus = random_tree_corpus(40, seed=5, max_len=60)
+    lengths = [len(s) for s in corpus]
+    assert min(lengths) == 1 and max(lengths) >= 40 and len(set(lengths)) < len(lengths)
+    assert lengths != sorted(lengths) and lengths != sorted(lengths, reverse=True)
+    return corpus
+
+
+@pytest.mark.parametrize("mode", ["joint-pos-stag", "supertagger"])
+def test_mixed_length_forward_matches_each_sentence_alone(mixed, mode):
+    # a padded batch gives each sentence its own forward's logits, loss and gradients
+    batch = mixed[:12]
+    vocab = Vocabulary.from_corpus(mixed)
+    model = Model(vocab, mode, tiny_enc(), tiny_heads(), np.random.default_rng(1))
+    outs = model.forward(batch)
+    loss = joint_loss(outs, batch, vocab, mode)
+    grads = ad.gradients(loss, model.params)
+    want_loss, want_grads, lo = 0.0, {k: 0.0 for k in model.params}, 0
+    for b, sent in enumerate(batch):
+        n = len(sent)
+        alone = model.forward([sent])
+        rows = slice(lo, lo + n)
+        lo += n
+        if "arcs" in model.tasks:
+            np.testing.assert_allclose(outs.arc_logits[b].value, alone.arc_logits[0].value,
+                                       rtol=0, atol=1e-12)
+            assert np.all(outs.arc_scores.value[b, :, n + 1 :] == -np.inf)
+            np.testing.assert_allclose(outs.label_logits.value[rows],
+                                       alone.label_logits.value, rtol=0, atol=1e-12)
+        for tag in TAGS:
+            if tag in model.tasks:
+                np.testing.assert_allclose(getattr(outs, f"{tag}_logits").value[rows],
+                                           getattr(alone, f"{tag}_logits").value,
+                                           rtol=0, atol=1e-12)
+        alone_loss = joint_loss(alone, [sent], vocab, mode)
+        want_loss += float(alone_loss.value)
+        for name, g in ad.gradients(alone_loss, model.params).items():
+            want_grads[name] = want_grads[name] + g
+    assert lo == outs.stag_logits.shape[0]
+    assert float(loss.value) == pytest.approx(want_loss, rel=1e-12)
+    for name, g in grads.items():
+        np.testing.assert_allclose(g, want_grads[name], rtol=1e-12, atol=1e-12, err_msg=name)
 
 
 def test_bucketed_forward_matches_singleton_forward(corpus, joint_model):
@@ -135,10 +175,21 @@ def test_predict_labels_each_bucket_with_one_call(corpus, joint_model, monkeypat
 
     monkeypatch.setattr(tm, "label_logits_pairs", counting)
     joint_model.predict(corpus)
-    buckets = {len(s) for s in corpus}
-    # only the decoded heads are labeled: forward under no_grad scores no argmax heads
-    assert len(calls) == len(buckets)
+    # the corpus is one chunk, and only its decoded heads are labeled: forward
+    # under no_grad scores no argmax heads
+    assert len(calls) == 1
     assert sum(calls) == sum(len(s) for s in corpus)
+    calls.clear()
+    monkeypatch.setattr(tm, "PREDICT_ROWS", 25)
+    chunks = joint_model._chunks(corpus)
+    assert len(chunks) > 2
+    for chunk in chunks:
+        lengths = [len(corpus[p]) for p in chunk]
+        assert lengths == sorted(lengths)
+        assert len(chunk) == 1 or len(chunk) * (max(lengths) + 1) <= 25
+    assert sorted(p for chunk in chunks for p in chunk) == list(range(len(corpus)))
+    joint_model.predict(corpus)
+    assert calls == [sum(len(corpus[p]) for p in chunk) for chunk in chunks]
 
 
 @pytest.mark.parametrize("use_mst", [False, True], ids=["greedy", "mst"])
@@ -154,9 +205,12 @@ def test_predict_matches_a_recording_forward_and_the_same_decode(corpus, joint_m
 
     monkeypatch.setattr(Model, "forward", spying)
     pred = joint_model.predict(corpus, use_mst=use_mst)
-    # predict recorded no tape, and no labels for the argmax heads
-    assert seen and all(o.arc_scores.parents == () and o.label_logits is None for o in seen)
+    # one forward for the whole corpus, which recorded no tape and no labels for
+    # the argmax heads
+    assert len(seen) == 1 and len(seen[0].sentences) == len(corpus)
+    assert seen[0].arc_scores.parents == () and seen[0].label_logits is None
     monkeypatch.undo()
+    # the same decode of one recording forward per sentence length
     want = []
     for n in sorted({len(s) for s in corpus}):
         bucket = [s for s in corpus if len(s) == n]
@@ -168,6 +222,23 @@ def test_predict_matches_a_recording_forward_and_the_same_decode(corpus, joint_m
         want += filled
     by_len = sorted(pred, key=len)  # sorted() is stable: bucket order within a length
     assert _columns(by_len) == _columns(want)
+
+
+@pytest.mark.parametrize("use_mst", [False, True], ids=["greedy", "mst"])
+def test_predict_keeps_input_order_across_lengths(mixed, use_mst):
+    vocab = Vocabulary.from_corpus(mixed)
+    model = Model(vocab, "joint-pos-stag", tiny_enc(), tiny_heads(), np.random.default_rng(2))
+    sents = mixed[:15]
+    together = model.predict(sents, use_mst=use_mst)
+    assert [[t.form for t in s.tokens] for s in together] == [
+        [t.form for t in s.tokens] for s in sents]
+    alone = [model.predict([s], use_mst=use_mst)[0] for s in sents]
+    assert _columns(together) == _columns(alone)
+
+
+def test_predict_of_no_sentences_is_empty(joint_model):
+    assert joint_model.predict([]) == []
+    assert joint_model.predict([], use_mst=True) == []
 
 
 def test_label_logits_of_a_forward_by_grad_mode_and_dropout(corpus, joint_model):

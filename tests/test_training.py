@@ -308,11 +308,44 @@ class TestStepLifetime:
 
 class TestEpochReport:
     def test_json_keeps_every_key_and_adds_timing(self):
-        report = EpochReport(3, 1.25, {"uas": 91.0, "las": 90.0}, 90.0, 2.5, 400.0)
+        report = EpochReport(3, 1.25, {"uas": 91.0, "las": 90.0}, 90.0, 2.5, 400.0, 7.5)
         row = json.loads(report.to_json())
+        # each new key comes after every key emitted before it
         assert list(row) == ["epoch", "train_loss", "dev_score", "uas", "las",
-                             "seconds", "tokens_per_s"]
-        assert (row["seconds"], row["tokens_per_s"]) == (2.5, 400.0)
+                             "seconds", "tokens_per_s", "grad_norm"]
+        assert (row["seconds"], row["tokens_per_s"], row["grad_norm"]) == (2.5, 400.0, 7.5)
+
+    def test_grad_norm_is_the_largest_step_norm_of_the_epoch(self, corpus, monkeypatch):
+        norms = []
+        real = training._train_step
+
+        def recording(*args):
+            loss, norm = real(*args)
+            norms.append((args[-1], norm))
+            return loss, norm
+
+        monkeypatch.setattr(training, "_train_step", recording)
+        cfg = TrainConfig(mode="parser", batch_size=4, patience=2, max_epochs=2, seed=0)
+        result = train(corpus, corpus, cfg, tiny_enc(), tiny_heads())
+        for report in result.history:
+            epoch_norms = [n for epoch, n in norms if epoch == report.epoch]
+            assert len(epoch_norms) > 1 and report.grad_norm == max(epoch_norms) > 0
+
+    def test_step_norm_is_the_global_gradient_norm(self, setup, monkeypatch):
+        vocab, _, bucket = setup
+        model = Model(vocab, "joint-pos-stag", tiny_enc(), tiny_heads(),
+                      np.random.default_rng(4))
+        seen = []
+        real = training.ad.gradients
+
+        def keeping(loss, params):
+            seen.append({k: g.copy() for k, g in real(loss, params).items()})
+            return seen[-1]
+
+        monkeypatch.setattr(training.ad, "gradients", keeping)
+        _, norm = training._train_step(model, bucket, None, AdamState(), 1)
+        flat = np.concatenate([g.ravel() for g in seen[0].values()])
+        assert norm == pytest.approx(np.linalg.norm(flat), rel=1e-12)
 
     def test_train_times_each_epoch(self, corpus):
         cfg = TrainConfig(mode="parser", batch_size=8, patience=1, max_epochs=2, seed=0)
@@ -324,6 +357,32 @@ class TestEpochReport:
 
 
 class TestNonFiniteLoss:
+    @pytest.mark.parametrize("bad, cause", [
+        (np.nan, "the gradient of mlp.arc_dep.W is not finite"),
+        (np.inf, "the gradient of mlp.arc_dep.W is not finite"),
+        (1e200, "it overflows"),
+    ], ids=["nan", "inf", "overflow"])
+    def test_bad_gradient_stops_the_step_before_adam(self, setup, monkeypatch, bad, cause):
+        vocab, _, bucket = setup
+        model = Model(vocab, "joint-pos-stag", tiny_enc(), tiny_heads(),
+                      np.random.default_rng(4))
+        real = training.ad.gradients
+
+        def patched(loss, params):
+            grads = real(loss, params)
+            grads["mlp.arc_dep.W"] = np.full_like(grads["mlp.arc_dep.W"], bad)
+            return grads
+
+        monkeypatch.setattr(training.ad, "gradients", patched)
+        before = {k: p.value.copy() for k, p in model.params.items()}
+        state = AdamState()
+        with pytest.raises(FloatingPointError, match=rf"gradient norm (nan|inf) in epoch 2 on a"
+                           rf" batch of 1 sentences of length \d+: {cause}"):
+            training._train_step(model, bucket, None, state, 2)
+        assert state.t == 0 and not state.s
+        for k, p in model.params.items():
+            np.testing.assert_array_equal(p.value, before[k])
+
     def test_nan_parameter_stops_training(self, corpus):
         # a NaN word vector makes the loss of the first batch holding the word NaN
         form = corpus[0].tokens[0].form
