@@ -20,12 +20,13 @@ Both directions of every layer are concatenated, and that concatenation,
 after layer dropout, feeds both directions of the next layer.
 
 A batch may mix sentence lengths: its rows are padded on the right to the
-longest, T, and `lengths` gives each row's real length. `lstm_layer` packs
-the real tokens time-major with the rows sorted longest first, so step t
-works on the prefix of the n_t rows longer than t. No padded position is
-projected, stepped or differentiated, the reverse direction starts each
-row at its own last token, and the padded positions of every output are
-zero. With equal lengths n_t = B, and the packed rows are the [T, B] grid.
+longest, T, and `lengths` gives each row's real length. Every batch takes
+the one packed path: `lstm_layer` gathers the real tokens time-major with
+the rows sorted longest first, so step t works on the prefix of the n_t
+rows longer than t. No padded position is projected, stepped or
+differentiated, the reverse direction starts each row at its own last
+token, and the padded positions of every output are zero. An equal-length
+batch is the case n_t = B, whose packed rows are the [T, B] grid.
 
 `MODE_TASKS` is the one table of what each mode predicts: "arcs" (heads and
 labels) and the tag columns "pos" and "stag". `EncoderConfig.input_tags` is
@@ -40,7 +41,6 @@ layer, applied to the recurrent input h_prev at every step.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -284,28 +284,30 @@ def _stacked(parts: list) -> np.ndarray:
     return np.concatenate(parts)
 
 
-@functools.lru_cache(maxsize=256)
-def _packing(lengths: tuple, seq_len: int) -> tuple:
-    """(order, counts, spans): the packed time-major layout of rows of
+def _packing(lengths, seq_len: int) -> tuple:
+    """(order, counts, spans, rows): the packed time-major layout of rows of
     `lengths` real tokens, padded to `seq_len`.
 
-    `order` sorts the rows longest first, stably, and is None when they
-    already are; step t owns the first counts[t] sorted rows, at packed
-    rows spans[t]. Cached: every layer and direction of a batch, and every
-    batch of the same lengths, share one.
+    `order` sorts the rows longest first, stably; step t owns the first
+    counts[t] sorted rows, at packed rows spans[t]. `rows` holds each packed
+    row's index into the [B*T] grid of the padded input, so packing is one
+    gather and unpacking one scatter. With equal lengths the packed rows are
+    the [T, B] grid.
     """
-    if not lengths or not 1 <= min(lengths) <= max(lengths) <= seq_len:
-        raise ValueError(f"lstm_layer: lengths {list(lengths)} do not fit rows of"
-                         f" 1..{seq_len} tokens")
-    lens = np.array(lengths)
-    counts = (lens[:, None] > np.arange(max(lengths))).sum(axis=0).tolist()
+    lens = np.asarray(lengths, dtype=np.float64)
+    # a fraction would run as the next whole number; NaN fails every comparison
+    if not (len(lens) and (lens == np.floor(lens)).all()
+            and 1 <= lens.min() <= lens.max() <= seq_len):
+        raise ValueError(f"lstm_layer: lengths {lens.tolist()} are not whole numbers that"
+                         f" fit rows of 1..{seq_len} tokens")
+    lens = lens.astype(np.int64)
+    order = np.argsort(-lens, kind="stable")
+    live = lens[order] > np.arange(lens.max())[:, None]  # [t, k]: sorted row k runs at step t
+    counts = live.sum(axis=1).tolist()
     ends = np.cumsum(counts).tolist()
     spans = [slice(end - n, end) for n, end in zip(counts, ends)]
-    order = np.argsort(-lens, kind="stable")
-    if np.all(order == np.arange(len(lens))):
-        return None, counts, spans
-    order.flags.writeable = False
-    return order, counts, spans
+    steps, ranks = np.nonzero(live)  # time-major, each step's rows a prefix
+    return order, counts, spans, order[ranks] * seq_len + steps
 
 
 def lstm_layer(xs: Tensor, params: dict, prefix: str, hidden: int,
@@ -323,15 +325,14 @@ def lstm_layer(xs: Tensor, params: dict, prefix: str, hidden: int,
     sweep over the cached gate activations and cell states. Returns h_t for
     every t as [B, T, H]; `reverse` runs each row from its last token.
 
-    `lengths` holds each row's real length, at most T (all T when None);
-    rows are padded on the right. The real tokens are packed time-major,
-    rows sorted longest first: step t owns the first n_t rows, those longer
-    than t, and works on that prefix alone, forward and backward. So no
-    padded position is projected, stepped or differentiated, and the
-    reverse direction starts each row from zero state at its own last
-    token. Padded positions of the output are zero and pass no gradient
-    back. With equal lengths n_t = B, and packed row t*B + n is token t of
-    row n.
+    `lengths` holds each row's real length, a whole number from 1 to T (all
+    T when None); rows are padded on the right. Every batch takes one path:
+    the real tokens are gathered time-major, rows sorted longest first, so
+    step t owns the first n_t rows, those longer than t, and works on that
+    prefix alone, forward and backward. No padded position is projected,
+    stepped or differentiated, and the reverse direction starts each row
+    from zero state at its own last token. Padded positions of the output
+    are zero and pass no gradient back.
     """
     highway = f"{prefix}.W_r" in params
     gates = GATES + ("r",) if highway else GATES
@@ -344,42 +345,23 @@ def lstm_layer(xs: Tensor, params: dict, prefix: str, hidden: int,
     if w.shape[1] != in_dim + hidden:
         raise ad.ShapeError(f"lstm_layer: {prefix} gates of shape {w.shape} do not take"
                             f" inputs of width {in_dim} and {hidden} hidden units")
-    lens = (seq_len,) * batch if lengths is None else tuple(np.asarray(lengths).tolist())
-    if len(lens) != batch:
-        raise ValueError(f"lstm_layer: {len(lens)} lengths for {batch} rows")
-    order, counts, spans = _packing(lens, seq_len)  # counts[t] is n_t
-    total = sum(counts)
-    # Without padding the packed rows are the [T, B] grid itself, and a transpose
-    # moves rows between the layouts; otherwise each step moves its prefix.
-    full = total == batch * seq_len
-
-    def by_length(a):  # rows longest first: step t reads the prefix a[:n_t, t]
-        return a if order is None else a[order]
-
-    def pack(a, out):  # [B, T, w] rows into the packed rows `out`
-        if full:
-            out.reshape(seq_len, batch, -1)[...] = a.transpose(1, 0, 2)
-            return
-        a = by_length(a)
-        for t, (rows, n) in enumerate(zip(spans, counts)):
-            out[rows] = a[:n, t]
+    lengths = np.full(batch, seq_len) if lengths is None else lengths
+    if len(lengths) != batch:
+        raise ValueError(f"lstm_layer: {len(lengths)} lengths for {batch} rows")
+    order, counts, spans, grid_rows = _packing(lengths, seq_len)  # counts[t] is n_t
+    total = len(grid_rows)
 
     def unpack(packed):  # packed rows as [B, T, w] rows, zero past each end
-        if full:
-            return packed.reshape(seq_len, batch, -1).transpose(1, 0, 2)
-        out = np.zeros((batch, seq_len, packed.shape[1]))
-        for t, (rows, n) in enumerate(zip(spans, counts)):
-            out[:n, t] = packed[rows]
-        if order is not None:
-            out[order] = out.copy()
-        return out
+        out = np.zeros((batch * seq_len, packed.shape[1]))
+        out[grid_rows] = packed
+        return out.reshape(batch, seq_len, -1)
 
-    if rec_mask is not None:
-        rec_mask = by_length(np.asarray(rec_mask, dtype=np.float64))
+    if rec_mask is not None:  # rows longest first, as the steps read them
+        rec_mask = np.asarray(rec_mask, dtype=np.float64)[order]
     w_x, w_rec = w[:, :in_dim], w[:, in_dim:]
     # packed rows [x_t | masked h_prev], step t's n_t rows after step t-1's
     xh = np.empty((total, in_dim + hidden))
-    pack(xs.value, xh[:, :in_dim])
+    xh[:, :in_dim] = xs.value.reshape(batch * seq_len, in_dim)[grid_rows]
     h_ins = xh[:, in_dim:]
     x = xh[:, :in_dim]
     pre = x @ w_x.T + b
@@ -421,7 +403,7 @@ def lstm_layer(xs: Tensor, params: dict, prefix: str, hidden: int,
             h += np.multiply(part, proj[rows], out=part)
 
     def bwd(g):
-        g = by_length(g)
+        g = g.reshape(batch * seq_len, hidden)[grid_rows]  # packed, as hs
         dz = np.empty_like(acts)
         dproj = np.empty_like(tanh_c) if highway else None
         # d loss / d h_t through step t+1's h_prev, and d loss / d c_t, per sorted row;
@@ -432,7 +414,7 @@ def lstm_layer(xs: Tensor, params: dict, prefix: str, hidden: int,
             rows, n = spans[t], counts[t]
             a, d, tc = acts[rows], dz[rows], tanh_c[rows]
             i, f, c_tilde, o = (a[:, k * hidden : (k + 1) * hidden] for k in range(4))
-            dh = g[:n, t] + dh_rec[:n]
+            dh = g[rows] + dh_rec[:n]
             if highway:
                 r = a[:, 4 * hidden :]
                 d[:, 4 * hidden :] = dh * (o * tc - proj[rows]) * r * (1.0 - r)
@@ -455,7 +437,7 @@ def lstm_layer(xs: Tensor, params: dict, prefix: str, hidden: int,
         return (unpack(dx), *grads)
 
     parents = (xs, *w_parts, *b_parts) + ((w_h,) if highway else ())
-    return Tensor(np.ascontiguousarray(unpack(hs)), parents=parents, op="lstm_layer", backward=bwd)
+    return Tensor(unpack(hs), parents=parents, op="lstm_layer", backward=bwd)
 
 
 def bilstm_stack(inputs: Tensor, params: dict, config: EncoderConfig,

@@ -7,9 +7,9 @@ at index 0; `lstm_layer` packs the real rows time-major, so it steps no
 padded position. The heads project the real rows alone, packed sentence
 after sentence (the "feature rows"), and give one tensor per batch: arc
 scores [B, T, T+1] (column 0 = ROOT, padded head columns -inf), and label,
-POS and supertag scores with one row per real token, sentence-major. With
-equal lengths nothing is padded, and the feature rows are the [B, T(+1)]
-grid in row-major order.
+POS and supertag scores with one row per real token, sentence-major. An
+equal-length batch takes the same path: its feature rows are the whole
+[B, T(+1)] grid in row-major order, and no head column is masked.
 
 `predict` sorts its input by length and runs one forward per chunk of at
 most PREDICT_ROWS padded encoder rows.
@@ -186,7 +186,6 @@ class Model:
         batch, root = len(sentences), int(self.with_root)
         width = int(lengths.max()) + root  # encoder rows of each padded sentence
         real = np.arange(width) < (lengths + root)[:, None]  # [B, W] rows to encode
-        padded = not real.all()
         inputs = self._input_batch(sentences)
         feat_rows = int(real.sum())
         masks = None
@@ -199,20 +198,18 @@ class Model:
                 mlp_mask = (rng.random((feat_rows, 2 * self.enc_config.hidden)) >= p) / (1 - p)
         encoded = bilstm_stack(inputs, self.params, self.enc_config, masks, lengths + root)
         flat = ad.reshape(encoded, (batch * width, 2 * self.enc_config.hidden))
-        if padded:  # the heads project the real rows alone
-            flat = ad.embedding_lookup(flat, np.flatnonzero(real))
-        feats = head_features(flat, self.params, mlp_mask)
+        # the heads project the real rows alone
+        feats = head_features(ad.embedding_lookup(flat, np.flatnonzero(real)), self.params,
+                              mlp_mask)
         out = BatchOutputs(sentences=list(sentences))
         starts, token_rows = self._feature_rows(lengths)
         if "arcs" in self.tasks:
             # the feature row of every grid position; a padded one reads its sentence's ROOT
             at = np.where(real, starts[:, None] + np.arange(width), starts[:, None])
-            out.arc_scores = arc_logit_matrix(ad.embedding_lookup(feats.arc_dep, at[:, 1:]),
-                                              ad.embedding_lookup(feats.arc_head, at),
-                                              self.params)
-            if padded:  # no token takes a padded head (Dozat & Manning 2017)
-                out.arc_scores = ad.add(out.arc_scores,
-                                        np.where(real, 0.0, -np.inf)[:, None, :])
+            scores = arc_logit_matrix(ad.embedding_lookup(feats.arc_dep, at[:, 1:]),
+                                      ad.embedding_lookup(feats.arc_head, at), self.params)
+            # no token takes a padded head (Dozat & Manning 2017)
+            out.arc_scores = ad.add(scores, np.where(real, 0.0, -np.inf)[:, None, :])
             out.rel_dep, out.rel_head = feats.rel_dep, feats.rel_head
             if rng is not None or ad.is_grad_enabled():
                 head_rows = self._head_rows(sentences, starts, rng is not None, out.arc_scores)

@@ -93,10 +93,8 @@ def joint_loss(outputs: BatchOutputs, sentences: list, vocab: Vocabulary,
         batch, seq, heads = outputs.arc_scores.shape
         if (batch, seq) != (len(sentences), lengths.max()):
             raise ValueError("joint_loss: arc scores misaligned with sentences")
-        arc = ad.reshape(outputs.arc_scores, (batch * seq, heads))  # [B*T, T+1]
-        real = np.arange(seq) < lengths[:, None]
-        if not real.all():
-            arc = ad.embedding_lookup(arc, np.flatnonzero(real))
+        real = np.flatnonzero(np.arange(seq) < lengths[:, None])  # in [B*T], sentence-major
+        arc = ad.embedding_lookup(ad.reshape(outputs.arc_scores, (batch * seq, heads)), real)
         gold_heads = np.array([t.head for s in sentences for t in s.tokens])
         parts.append(ad.reduce_sum(ad.cross_entropy_with_logits(arc, gold_heads)))
         rel_ids = np.array([vocab.rel_id(t.rel) for s in sentences for t in s.tokens])

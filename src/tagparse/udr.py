@@ -34,6 +34,7 @@ class UdrTarget:
 
 
 def read_targets(path) -> list:
+    """The targets of a target file; ValueError names `path:line` of a malformed record."""
     targets = []
     with open(path, "r", encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
@@ -44,9 +45,10 @@ def read_targets(path) -> list:
             if len(cols) != 5:
                 raise ValueError(f"{path}:{lineno}: expected 5 columns, got {len(cols)}")
             sid, construction, child, parent, label = cols
-            targets.append(
-                UdrTarget(int(sid), construction, int(child), int(parent), label)
-            )
+            try:
+                targets.append(UdrTarget(int(sid), construction, int(child), int(parent), label))
+            except ValueError as e:  # a non-integer field or an unknown construction
+                raise ValueError(f"{path}:{lineno}: {e}") from None
     return targets
 
 

@@ -1,11 +1,14 @@
-"""The traced benchmark run patches functions of `tagparse.model` by name.
+"""The benchmark reaches into `src/` by name.
 
-`bench/spans.py` is loaded here from its file, unchanged, so that renaming
-or dropping one of those names in `src/` fails a test instead of a
-`--trace 1` run.
+The traced run patches functions of `tagparse.model`, and every run checks
+the gradients of parameters it names in `harness.GRAD_GROUPS`.
+`bench/spans.py` and `bench/harness.py` are loaded here from their files,
+unchanged, so that renaming or dropping one of those names in `src/` fails
+a test instead of a benchmark run.
 """
 
 import importlib.util
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -17,15 +20,42 @@ from tagparse.heads import HeadConfig
 from tagparse.synthetic import make_corpus
 from tagparse.vocab import Vocabulary
 
-SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def _load(name: str):
+    """bench/<name>.py as a module; its own imports of bench modules resolve in bench/."""
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    added = str(BENCH) not in sys.path
+    if added:
+        sys.path.insert(0, str(BENCH))
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        if added:
+            sys.path.remove(str(BENCH))
+    return module
 
 
 @pytest.fixture(scope="module")
 def spans():
-    spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return _load("spans")
+
+
+@pytest.fixture(scope="module")
+def harness():
+    return _load("harness")
+
+
+@pytest.mark.parametrize("workload", ["short-joint", "paper-dims"])
+def test_every_gradient_checked_parameter_exists(harness, workload):
+    w = harness.workloads.build(workload, 0)
+    model = tm.Model(Vocabulary.from_corpus(w.train), harness.workloads.MODE, w.enc, w.heads,
+                     np.random.default_rng(0))
+    for group, names in harness.GRAD_GROUPS.items():
+        for name in names:
+            assert name in model.params, (group, name)
 
 
 def test_traced_forward_and_parses_open_every_span(spans):

@@ -547,7 +547,8 @@ class TestPackedLengths:
         key = "x" if name == "x" else f"lstm.0.fw.{name}"
         assert rel_err(grads[key], numeric_grad(f, target.copy())) < 1e-6
 
-    @pytest.mark.parametrize("lengths", [[3, 0], [3, 5], [3]], ids=["empty", "long", "count"])
+    @pytest.mark.parametrize("lengths", [[3, 0], [3, 5], [3], [2.5, 3]],
+                             ids=["empty", "long", "count", "fraction"])
     def test_lengths_that_do_not_fit_are_rejected(self, lengths):
         params = stack_params(np.random.default_rng(31), EncoderConfig(hidden=4, layers=1), 3)
         with pytest.raises(ValueError, match="lengths"):

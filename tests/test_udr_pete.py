@@ -1,5 +1,7 @@
 """UDR containment scoring and PETE entailment checks on gold fixtures."""
 
+import re
+
 import pytest
 
 import fixtures_rules as fx
@@ -88,6 +90,17 @@ def test_target_file_round_trip(tmp_path):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     targets = read_targets(path)
     assert targets == udr_targets()
+
+
+@pytest.mark.parametrize("record, error", [
+    ("1\tObRC\ttwo\t4\tdobj", "invalid literal for int"),
+    ("1\tObRCC\t2\t4\tdobj", "unknown construction 'ObRCC'"),
+], ids=["non-integer", "construction"])
+def test_malformed_target_names_its_line(tmp_path, record, error):
+    path = tmp_path / "targets.tsv"
+    path.write_text("# comment line\n1\tObRC\t2\t4\tdobj\n" + record + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:3: {error}"):
+        read_targets(path)
 
 
 class TestPete:
