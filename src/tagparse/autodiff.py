@@ -438,8 +438,9 @@ def _toposort(root: Tensor) -> list:
 def backward(loss: Tensor, keep=()) -> None:
     """Store d(loss)/d(node) in `.grad` of the leaves reachable from loss.
 
-    `loss` must be a scalar. Existing grads on reachable nodes are overwritten;
-    call `zero_grads` or rely on this overwrite between steps. Interior nodes
+    `loss` must be a scalar. Existing grads on reachable nodes are overwritten,
+    but a tensor the loss does not reach keeps its old grad: use `gradients`,
+    which clears its parameters first, or call `zero_grads`. Interior nodes
     release their closure and gradient once it has reached their parents;
     those in `keep` keep the gradient. Raises RuntimeError if a reachable
     node was released by an earlier backward.
@@ -470,6 +471,7 @@ def backward(loss: Tensor, keep=()) -> None:
 
 def gradients(loss: Tensor, params) -> dict:
     """Run backward and return a grad per named tensor, zeros if unreachable."""
+    zero_grads(params)
     backward(loss, keep=params.values())
     return {
         name: (p.grad if p.grad is not None else np.zeros_like(p.value))

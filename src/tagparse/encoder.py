@@ -364,7 +364,8 @@ def lstm_layer(xs: Tensor, params: dict, prefix: str, hidden: int,
     xh[:, :in_dim] = xs.value.reshape(batch * seq_len, in_dim)[grid_rows]
     h_ins = xh[:, in_dim:]
     x = xh[:, :in_dim]
-    pre = x @ w_x.T + b
+    pre = x @ w_x.T
+    pre += b
     proj = x @ w_h.value.T if highway else None
     acts = np.empty_like(pre)                  # activated gates
     tanh_c = np.empty((total, hidden))

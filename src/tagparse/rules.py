@@ -1,9 +1,11 @@
 """Derivation-graph transformations and the UDR label conversion.
 
 Rules fire in a fixed order (RULE_ORDER) so earlier additions can feed
-later rules; every rule only adds arcs, each tagged with the rule id.
-Arc notation throughout: (child, parent, label), the arc pointing from
-parent to child.
+later rules. A rule only proposes arcs: it is a generator of (child,
+parent, label) triples, and one runner adds each proposal under the
+rule's id before it asks the rule for the next, so a rule also reads its
+own earlier additions. Rules never remove arcs. Arc notation throughout:
+(child, parent, label), the arc pointing from parent to child.
 
 Rule catalog (trigger -> additions); each pattern has a positive and a
 negative fixture in the test suite:
@@ -44,7 +46,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .depgraph import Arc, DepGraph, RuleTrace
+from .depgraph import DepGraph, RuleTrace
 
 __all__ = [
     "SupertagLexicon",
@@ -193,31 +195,19 @@ def convert_udr_label(label: str, context: ConversionContext | None = None) -> s
 # ---------------------------------------------------------------------------
 
 
-def _rule_relative_clause(g: DepGraph, lex: SupertagLexicon) -> list:
-    added = []
+def _rule_relative_clause(g: DepGraph, lex: SupertagLexicon):
     for child, parent, label in g.sorted_arcs():
         if label != ADJUNCT_LABEL or parent == 0:
             continue
         role = lex.rc_role(g.token(child).stag)
-        if role is None or not is_noun(g.token(parent).pos):
-            continue
-        arc = g.add_arc(parent, child, role, origin="relative-clause")
-        if arc:
-            added.append(arc)
-    return added
+        if role is not None and is_noun(g.token(parent).pos):
+            yield parent, child, role
 
 
-def _rule_sentential_complement(g: DepGraph, lex: SupertagLexicon) -> list:
-    added = []
+def _rule_sentential_complement(g: DepGraph, lex: SupertagLexicon):
     for child, parent, label in g.sorted_arcs():
-        if label != ADJUNCT_LABEL or parent == 0:
-            continue
-        if not lex.is_pred_aux(g.token(child).stag):
-            continue
-        arc = g.add_arc(parent, child, "1", origin="sentential-complement")
-        if arc:
-            added.append(arc)
-    return added
+        if label == ADJUNCT_LABEL and parent != 0 and lex.is_pred_aux(g.token(child).stag):
+            yield parent, child, "1"
 
 
 def _conjunct_pairs(g: DepGraph):
@@ -233,47 +223,30 @@ def _conjunct_pairs(g: DepGraph):
                 yield c, parent, child2
 
 
-def _rule_coordination_vp(g: DepGraph, lex: SupertagLexicon) -> list:
-    added = []
+def _rule_coordination_vp(g: DepGraph, lex: SupertagLexicon):
     for _c, v1, v2 in list(_conjunct_pairs(g)):
         if not (is_verb(g.token(v1).pos) and is_verb(g.token(v2).pos)):
             continue
-        for arc in sorted(g.arcs_with_parent(v1)):
-            child, _, label = arc
-            new = None
-            if label == "0":
-                new = g.add_arc(child, v2, "0", origin="coordination-vp")
-            elif label == ADJUNCT_LABEL and (
+        for child, _, label in sorted(g.arcs_with_parent(v1)):
+            if label == "0" or (label == ADJUNCT_LABEL and (
                 g.token(child).pos == "MD" or g.token(child).lower in NEGATION_FORMS
-            ):
-                new = g.add_arc(child, v2, ADJUNCT_LABEL, origin="coordination-vp")
-            if new:
-                added.append(new)
-    return added
+            )):
+                yield child, v2, label
 
 
-def _rule_coordination_relative(g: DepGraph, lex: SupertagLexicon) -> list:
-    added = []
+def _rule_coordination_relative(g: DepGraph, lex: SupertagLexicon):
     for _c, v1, v2 in list(_conjunct_pairs(g)):
         if lex.rc_role(g.token(v1).stag) is None:
             continue
         modified = [a.parent for a in g.arcs_with_child(v1)
                     if a.label == ADJUNCT_LABEL and a.parent != 0
                     and is_noun(g.token(a.parent).pos)]
-        if not modified:
-            continue
-        noun = modified[0]
         wh_arcs = [a for a in sorted(g.arcs_with_parent(v2)) if is_wh(g.token(a.child))]
-        if not wh_arcs:
-            continue
-        arc = g.add_arc(noun, v2, wh_arcs[0].label, origin="coordination-relative")
-        if arc:
-            added.append(arc)
-    return added
+        if modified and wh_arcs:
+            yield modified[0], v2, wh_arcs[0].label
 
 
-def _rule_small_clause(g: DepGraph, lex: SupertagLexicon) -> list:
-    added = []
+def _rule_small_clause(g: DepGraph, lex: SupertagLexicon):
     for child, parent, label in g.sorted_arcs():
         if label not in ("1", "2") or parent == 0:
             continue
@@ -285,46 +258,28 @@ def _rule_small_clause(g: DepGraph, lex: SupertagLexicon) -> list:
             continue
         for sub in sorted(g.arcs_with_parent(p)):
             if sub.label == "0" and is_noun(g.token(sub.child).pos):
-                arc = g.add_arc(sub.child, v, "1", origin="small-clause")
-                if arc:
-                    added.append(arc)
-    return added
+                yield sub.child, v, "1"
 
 
-def _copy_involving(g: DepGraph, source: int, target: int, origin: str,
-                    skip=()) -> list:
-    """Duplicate every arc touching `source` with `target` in its place."""
-    added = []
+def _copy_involving(g: DepGraph, source: int, target: int, skip=()):
+    """Every arc touching `source`, with `target` in its place."""
     for arc in sorted(g.arcs_involving(source)):
         if (arc.child, arc.parent, arc.label) in skip:
             continue
         if arc.child == source:
-            if arc.parent in (0, target):
-                continue
-            new = g.add_arc(target, arc.parent, arc.label, origin=origin)
-        else:
-            if arc.child == target:
-                continue
-            new = g.add_arc(arc.child, target, arc.label, origin=origin)
-        if new:
-            added.append(new)
-    return added
+            if arc.parent not in (0, target):
+                yield target, arc.parent, arc.label
+        elif arc.child != target:
+            yield arc.child, target, arc.label
 
 
-def _rule_co_anchor(g: DepGraph, lex: SupertagLexicon) -> list:
-    added = []
+def _rule_co_anchor(g: DepGraph, lex: SupertagLexicon):
     for child, parent, label in g.sorted_arcs():
-        if label != CO_LABEL or parent == 0:
-            continue
-        added.extend(
-            _copy_involving(g, parent, child, origin="co-anchor",
-                            skip=((child, parent, label),))
-        )
-    return added
+        if label == CO_LABEL and parent != 0:
+            yield from _copy_involving(g, parent, child, skip=((child, parent, label),))
 
 
-def _rule_wh_word(g: DepGraph, lex: SupertagLexicon) -> list:
-    added = []
+def _rule_wh_word(g: DepGraph, lex: SupertagLexicon):
     for child, parent, label in g.sorted_arcs():
         if label != ADJUNCT_LABEL or parent == 0:
             continue
@@ -332,45 +287,29 @@ def _rule_wh_word(g: DepGraph, lex: SupertagLexicon) -> list:
         if not is_wh(g.token(wh)):
             continue
         for arc in sorted(g.arcs_with_child(wh)):
-            if arc.parent == w:
-                continue
-            new = g.add_arc(w, arc.parent, arc.label, origin="wh-word")
-            if new:
-                added.append(new)
-    return added
+            if arc.parent != w:
+                yield w, arc.parent, arc.label
 
 
-def _rule_copula_be(g: DepGraph, lex: SupertagLexicon) -> list:
-    added = []
+def _rule_copula_be(g: DepGraph, lex: SupertagLexicon):
     for child, parent, label in g.sorted_arcs():
         if label not in COMPLEMENT_LABELS or parent == 0:
             continue
         b = parent
-        if lemma(g.token(b).form) != "be" or not is_verb(g.token(b).pos):
-            continue
-        arc = g.add_arc(b, child, "0", origin="copula-be")
-        if arc:
-            added.append(arc)
-    return added
+        if lemma(g.token(b).form) == "be" and is_verb(g.token(b).pos):
+            yield b, child, "0"
 
 
-def _rule_copula_nonbe(g: DepGraph, lex: SupertagLexicon) -> list:
-    added = []
+def _rule_copula_nonbe(g: DepGraph, lex: SupertagLexicon):
     for child, parent, label in g.sorted_arcs():
         if label != ADJUNCT_LABEL or parent == 0:
             continue
         c, p = child, parent
-        if not is_verb(g.token(c).pos) or lemma(g.token(c).form) not in NONBE_COPULAS:
-            continue
-        added.extend(
-            _copy_involving(g, p, c, origin="copula-nonbe",
-                            skip=((c, p, label),))
-        )
-    return added
+        if is_verb(g.token(c).pos) and lemma(g.token(c).form) in NONBE_COPULAS:
+            yield from _copy_involving(g, p, c, skip=((c, p, label),))
 
 
-def _rule_partitive(g: DepGraph, lex: SupertagLexicon) -> list:
-    added = []
+def _rule_partitive(g: DepGraph, lex: SupertagLexicon):
     for w_tok in g.tokens:
         if w_tok.lower not in PARTITIVE_WORDS:
             continue
@@ -380,15 +319,11 @@ def _rule_partitive(g: DepGraph, lex: SupertagLexicon) -> list:
         for of_node in of_nodes:
             objects = sorted(g.arcs_with_parent(of_node),
                              key=lambda a: (a.label != "1", a.child))
-            if not objects:
-                continue
-            o = objects[0].child
-            added.extend(_copy_involving(g, w, o, origin="partitive"))
-    return added
+            if objects:
+                yield from _copy_involving(g, w, objects[0].child)
 
 
-def _rule_modal(g: DepGraph, lex: SupertagLexicon) -> list:
-    added = []
+def _rule_modal(g: DepGraph, lex: SupertagLexicon):
     for child, parent, label in g.sorted_arcs():
         if label != ADJUNCT_LABEL or parent == 0:
             continue
@@ -398,32 +333,20 @@ def _rule_modal(g: DepGraph, lex: SupertagLexicon) -> list:
         following = [a.child for a in g.arcs_with_parent(v)
                      if a.label == ADJUNCT_LABEL and a.child != m
                      and a.child > m and g.token(a.child).pos.startswith("VB")]
-        if not following:
-            continue
-        a = min(following)
-        arc = g.add_arc(m, a, ADJUNCT_LABEL, origin="modal")
-        if arc:
-            added.append(arc)
-    return added
+        if following:
+            yield m, min(following), ADJUNCT_LABEL
 
 
-def _rule_existential_there(g: DepGraph, lex: SupertagLexicon) -> list:
-    added = []
+def _rule_existential_there(g: DepGraph, lex: SupertagLexicon):
     for child, parent, label in g.sorted_arcs():
         if label != "0" or parent == 0:
             continue
-        t = child
-        tok = g.token(t)
-        if tok.pos != "EX" and tok.lower != "there":
-            continue
-        arc = g.add_arc(parent, t, "0", origin="existential-there")
-        if arc:
-            added.append(arc)
-    return added
+        tok = g.token(child)
+        if tok.pos == "EX" or tok.lower == "there":
+            yield parent, child, "0"
 
 
-def _rule_determiner_sentence(g: DepGraph, lex: SupertagLexicon) -> list:
-    added = []
+def _rule_determiner_sentence(g: DepGraph, lex: SupertagLexicon):
     for child, parent, label in g.sorted_arcs():
         if label != ADJUNCT_LABEL or parent == 0:
             continue
@@ -432,12 +355,8 @@ def _rule_determiner_sentence(g: DepGraph, lex: SupertagLexicon) -> list:
             continue
         adjectives = [a.child for a in sorted(g.arcs_with_parent(d))
                       if is_adjectival(g.token(a.child).pos)]
-        if not adjectives:
-            continue
-        arc = g.add_arc(adjectives[0], v, "1", origin="determiner-sentence")
-        if arc:
-            added.append(arc)
-    return added
+        if adjectives:
+            yield adjectives[0], v, "1"
 
 
 PETE_RULES = (
@@ -463,14 +382,25 @@ _RULES = dict(RULE_ORDER)
 RULE_IDS = tuple(rid for rid, _ in RULE_ORDER)
 
 
+def _run(g: DepGraph, rule_id: str, lexicon: SupertagLexicon) -> list:
+    """Add each arc the rule proposes to `g`, under the rule's id, before
+    asking for the next: a rule reads its own earlier additions. Returns
+    the arcs that were new."""
+    if rule_id not in _RULES:
+        raise KeyError(f"unknown rule {rule_id!r}; rules: {list(RULE_IDS)}")
+    added = []
+    for child, parent, label in _RULES[rule_id](g, lexicon):
+        arc = g.add_arc(child, parent, label, origin=rule_id)
+        if arc:
+            added.append(arc)
+    return added
+
+
 def apply_rule(graph: DepGraph, rule_id: str,
                lexicon: SupertagLexicon | None = None) -> tuple:
     """Apply one rule to a copy of `graph`; returns (new graph, trace entry)."""
-    if rule_id not in _RULES:
-        raise KeyError(f"unknown rule {rule_id!r}; rules: {list(RULE_IDS)}")
-    lexicon = lexicon or SupertagLexicon()
     out = graph.copy()
-    added = _RULES[rule_id](out, lexicon)
+    added = _run(out, rule_id, lexicon or SupertagLexicon())
     return out, (rule_id, tuple(added))
 
 
@@ -478,13 +408,10 @@ def apply_udr_pipeline(graph: DepGraph, lexicon: SupertagLexicon | None = None,
                        rules=None) -> tuple:
     """Run the documented rule sequence; returns (new graph, RuleTrace)."""
     lexicon = lexicon or SupertagLexicon()
-    sequence = RULE_ORDER if rules is None else tuple(
-        (rid, _RULES[rid]) for rid in rules
-    )
     out = graph.copy()
     trace = RuleTrace()
-    for rule_id, fn in sequence:
-        added = fn(out, lexicon)
+    for rule_id in RULE_IDS if rules is None else rules:
+        added = _run(out, rule_id, lexicon)
         if added:
             trace.add(rule_id, added)
     return out, trace

@@ -93,13 +93,17 @@ class Vocabulary:
 
     @classmethod
     def from_json(cls, text: str) -> "Vocabulary":
+        """The vocabulary of `to_json`; ValueError unless each table's ids are
+        exactly 0..len-1."""
         data = json.loads(text)
         v = cls()
-        v.words = {k: int(i) for k, i in data["words"].items()}
-        v.chars = {k: int(i) for k, i in data["chars"].items()}
-        v.pos = {k: int(i) for k, i in data["pos"].items()}
-        v.stags = {k: int(i) for k, i in data["stags"].items()}
-        v.rels = {k: int(i) for k, i in data["rels"].items()}
+        for name in ("words", "chars", "pos", "stags", "rels"):
+            table = {k: int(i) for k, i in data[name].items()}
+            missing = set(range(len(table))).difference(table.values())
+            if missing:  # a duplicate, negative or too-large id leaves one out
+                raise ValueError(f"table {name!r} lacks id {min(missing)}: its"
+                                 f" {len(table)} ids must be 0..{len(table) - 1}, each once")
+            setattr(v, name, table)
         return v
 
 

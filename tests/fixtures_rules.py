@@ -238,6 +238,15 @@ CHAINED_ORDER = sent([
     ("left", "VBD", "tVi", 0, "root"),
 ])
 
+# a rule reads its own earlier additions: co-anchor copies (he, ate, 0) onto
+# drank, then copies arcs of drank onto gulped, the fresh (he, drank, 0) too
+CHAINED_CO = sent([
+    ("ate", "VBD", "tVt", 0, "root"),
+    ("drank", "VBD", "tCO", 1, "CO"),
+    ("gulped", "VBD", "tCO", 2, "CO"),
+    ("he", "PRP", "tN", 1, "0"),
+])
+
 # rule id -> (positive fixture, expected adds, negative fixture)
 RULE_FIXTURES = {
     "relative-clause": (RELATIVE_CLAUSE, {Arc(1, 3, "0")}, RELATIVE_CLAUSE_NEG),

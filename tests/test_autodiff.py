@@ -219,6 +219,13 @@ class TestBackwardBasics:
         grads = ad.gradients(ad.mul(x, x), {"x": x, "y": y})
         np.testing.assert_allclose(grads["x"], 4.0)
         np.testing.assert_array_equal(grads["y"], np.zeros(3))
+        # a gradient left by an earlier loss is not reported for a later one
+        a, b = ad.parameter(np.array([1.0, 2.0])), ad.parameter(np.array([3.0]))
+        params = {"a": a, "b": b}
+        ad.gradients(ad.reduce_sum(ad.mul(a, a)), params)
+        grads = ad.gradients(ad.reduce_sum(ad.mul(b, b)), params)
+        np.testing.assert_array_equal(grads["a"], np.zeros(2))
+        np.testing.assert_array_equal(grads["b"], [6.0])
 
 
 class TestTapeLifetime:

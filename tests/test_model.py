@@ -1,5 +1,7 @@
 """Model assembly: batching consistency, decoding validity, persistence."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -308,6 +310,12 @@ def test_load_rejects_tensors_that_do_not_fit_the_config(tmp_path, joint_model, 
         Model.load(path)
 
 
+def _edit_vocab(meta, table, edit):
+    data = json.loads(meta["vocab"])
+    data[table] = edit(data[table])
+    meta["vocab"] = json.dumps(data)
+
+
 @pytest.mark.parametrize("edit, message", [
     (lambda m: m.pop("vocab"), "metadata lacks 'vocab'"),
     (lambda m: m.pop("mode"), "metadata lacks 'mode'"),
@@ -324,6 +332,13 @@ def test_load_rejects_tensors_that_do_not_fit_the_config(tmp_path, joint_model, 
     (lambda m: m["heads"].update(d_arc=0), "'heads': HeadConfig.d_arc must be positive"),
     (lambda m: m.update(encoder=[]), "metadata 'encoder' is list, not an object"),
     (lambda m: m.update(vocab="{}"), "metadata 'vocab' is malformed"),
+    # every supertag id 0; the last word's id -1; the last relation's id one too high
+    (lambda m: _edit_vocab(m, "stags", lambda t: dict.fromkeys(t, 0)),
+     "'vocab' is malformed: ValueError.*'stags' lacks id 1"),
+    (lambda m: _edit_vocab(m, "words", lambda t: {**t, max(t, key=t.get): -1}),
+     "'vocab' is malformed: ValueError.*'words' lacks id"),
+    (lambda m: _edit_vocab(m, "rels", lambda t: {**t, max(t, key=t.get): len(t)}),
+     "'vocab' is malformed: ValueError.*'rels' lacks id"),
     (lambda m: m["encoder"].update(char_width=4), "'encoder': EncoderConfig.char_width must be odd"),
     # a mode may not read the gold value of a column it predicts
     (lambda m: m.update(mode="joint-stag") or m["encoder"].update(use_stag_input=True),
@@ -338,7 +353,8 @@ def test_load_rejects_tensors_that_do_not_fit_the_config(tmp_path, joint_model, 
     (lambda m: m["heads"].update(rel_affine_uses_dep=0), "field 'rel_affine_uses_dep' is 0"),
 ], ids=["no-vocab", "no-mode", "no-encoder", "no-heads", "mode", "encoder-field",
         "heads-field", "str-int", "float-int", "bool-int", "int-bool", "none-float",
-        "range", "not-object", "vocab", "even-char-width", "joint-stag-reads-stag",
+        "range", "not-object", "vocab", "duplicate-id", "negative-id", "gapped-id",
+        "even-char-width", "joint-stag-reads-stag",
         "joint-pos-stag-reads-stag", "joint-pos-stag-reads-pos", "removed-final-concat",
         "removed-label-on-gold", "removed-uses-dep", "removed-as-int"])
 def test_load_rejects_bad_metadata(tmp_path, joint_model, edit, message):

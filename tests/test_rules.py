@@ -94,8 +94,11 @@ class TestPerRuleFixtures:
             assert set(g.sorted_arcs()) <= set(out.sorted_arcs())
 
     def test_unknown_rule_rejected(self):
-        with pytest.raises(KeyError):
-            apply_rule(DepGraph.from_sentence(fx.SMALL_CLAUSE), "no-such-rule")
+        g = DepGraph.from_sentence(fx.SMALL_CLAUSE)
+        with pytest.raises(KeyError, match="no-such-rule.*small-clause"):
+            apply_rule(g, "no-such-rule")
+        with pytest.raises(KeyError, match="no-such-rule.*small-clause"):
+            apply_udr_pipeline(g, rules=["small-clause", "no-such-rule"])
 
 
 def test_graph_reads_predicted_pos_where_set():
@@ -167,6 +170,11 @@ class TestPipeline:
         # the full pipeline uses the documented order
         full, _ = apply_udr_pipeline(g)
         assert full.has_arc(5, 3, "1")
+
+    def test_rule_reads_its_own_earlier_additions(self):
+        # each proposal is added before the rule proposes the next
+        _, (_, added) = apply_rule(DepGraph.from_sentence(fx.CHAINED_CO), "co-anchor")
+        assert added == (Arc(4, 2, "0"), Arc(3, 1, "CO"), Arc(4, 3, "0"))
 
     def test_coanchor_figure_produces_documented_arc(self):
         g = DepGraph.from_sentence(fx.CO_ANCHOR_FIGURE)
