@@ -1,10 +1,11 @@
 """Dense float tensors with reverse-mode automatic differentiation.
 
-Every `Tensor` holds a numpy float64 array and doubles as a node of the
-computation tape: it records the op that produced it, references to its
-parents, and a closure that maps its gradient to theirs. The tape is an
-implicit DAG; `backward` walks it exactly once in reverse topological
-order.
+Every `Tensor` holds a numpy float64 array, or a float32 one when it is
+given float32 (any other dtype is cast to float64), and doubles as a node
+of the computation tape: it records the op that produced it, references
+to its parents, and a closure that maps its gradient to theirs. The tape
+is an implicit DAG; `backward` walks it exactly once in reverse
+topological order.
 
 Tape lifetime. A closure holds what its backward needs (operands, cached
 activations; the LSTM op's whole BPTT cache), so it is released as soon
@@ -24,6 +25,12 @@ leaves the block.
 
 Non-differentiable inputs (index arrays, dropout masks, class targets)
 are passed as plain numpy arrays, never as tape nodes.
+
+Each op computes in its operands' dtype (a dropout mask takes its
+operand's), and so must every constant a caller adds in: numpy would
+silently promote a float32 operand that meets a float64 array. Training
+and the gradient checks run in float64; float32 serves forward passes
+under `no_grad`.
 """
 
 from __future__ import annotations
@@ -79,7 +86,7 @@ class Tensor:
 
     def __init__(self, value, *, parents=(), op="leaf", backward=None):
         arr = np.asarray(value)
-        if arr.dtype != np.float64:
+        if arr.dtype != np.float64 and arr.dtype != np.float32:
             arr = arr.astype(np.float64)
         self.value = arr
         self.op = op
@@ -356,7 +363,7 @@ def conv1d(x: Tensor, filters: Tensor) -> Tensor:
 def dropout_with_mask(x: Tensor, mask) -> Tensor:
     """Multiply by a fixed mask (inverted-dropout scaling baked into the mask)."""
     x = as_tensor(x)
-    mask = np.asarray(mask, dtype=np.float64)
+    mask = np.asarray(mask, dtype=x.value.dtype)
     try:
         out = x.value * mask
     except ValueError:

@@ -242,6 +242,7 @@ def char_cnn(words, char_emb: Tensor, filters: Tensor, bias: Tensor) -> Tensor:
         ids[u, side : side + len(chars)] = chars
     conv = ad.add(ad.conv1d(ad.embedding_lookup(char_emb, ids), filters), bias)  # [U, P, F]
     past_end = np.where(np.arange(conv.shape[1]) >= windows[:, None], -np.inf, 0.0)
+    past_end = past_end.astype(conv.value.dtype, copy=False)
     return ad.max_over_axis(ad.add(conv, past_end[:, :, None]), axis=1)
 
 
@@ -350,17 +351,18 @@ def lstm_layer(xs: Tensor, params: dict, prefix: str, hidden: int,
         raise ValueError(f"lstm_layer: {len(lengths)} lengths for {batch} rows")
     order, counts, spans, grid_rows = _packing(lengths, seq_len)  # counts[t] is n_t
     total = len(grid_rows)
+    dtype = np.result_type(xs.value, w)  # every buffer of the forward sweep
 
     def unpack(packed):  # packed rows as [B, T, w] rows, zero past each end
-        out = np.zeros((batch * seq_len, packed.shape[1]))
+        out = np.zeros((batch * seq_len, packed.shape[1]), dtype=packed.dtype)
         out[grid_rows] = packed
         return out.reshape(batch, seq_len, -1)
 
     if rec_mask is not None:  # rows longest first, as the steps read them
-        rec_mask = np.asarray(rec_mask, dtype=np.float64)[order]
+        rec_mask = np.asarray(rec_mask, dtype=dtype)[order]
     w_x, w_rec = w[:, :in_dim], w[:, in_dim:]
     # packed rows [x_t | masked h_prev], step t's n_t rows after step t-1's
-    xh = np.empty((total, in_dim + hidden))
+    xh = np.empty((total, in_dim + hidden), dtype=dtype)
     xh[:, :in_dim] = xs.value.reshape(batch * seq_len, in_dim)[grid_rows]
     h_ins = xh[:, in_dim:]
     x = xh[:, :in_dim]
@@ -368,14 +370,14 @@ def lstm_layer(xs: Tensor, params: dict, prefix: str, hidden: int,
     pre += b
     proj = x @ w_h.value.T if highway else None
     acts = np.empty_like(pre)                  # activated gates
-    tanh_c = np.empty((total, hidden))
-    hs = np.empty((total, hidden))
+    tanh_c = np.empty((total, hidden), dtype=dtype)
+    hs = np.empty((total, hidden), dtype=dtype)
     # cells[t + put, k] holds c_t of sorted row k, and cells[t + get, k] its c_prev
-    cells = np.zeros((seq_len + 1, batch, hidden))
+    cells = np.zeros((seq_len + 1, batch, hidden), dtype=dtype)
     put, get = (0, 1) if reverse else (1, 0)
     steps = range(len(counts) - 1, -1, -1) if reverse else range(len(counts))
-    rec = np.empty((batch, w.shape[0]))       # h_prev's share of the gate inputs
-    tmp = np.empty((batch, hidden))
+    rec = np.empty((batch, w.shape[0]), dtype=dtype)  # h_prev's share of the gate inputs
+    tmp = np.empty((batch, hidden), dtype=dtype)
     h = hs[:0]
     for t in steps:
         rows, n = spans[t], counts[t]

@@ -12,11 +12,16 @@ equal-length batch takes the same path: its feature rows are the whole
 [B, T(+1)] grid in row-major order, and no head column is masked.
 
 `predict` sorts its input by length and runs one forward per chunk of at
-most PREDICT_ROWS padded encoder rows.
+most PREDICT_ROWS padded encoder rows. Its forwards compute in float32:
+each call casts the float64 parameters once into a shallow copy of the
+model, about 13 ms for the paper's 9.8M parameters, and the decoders read
+float64 probabilities of its scores. Training, `forward` on the model
+itself and the parameters stay float64.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -51,8 +56,8 @@ __all__ = ["Model", "BatchOutputs", "PREDICT_ROWS"]
 
 # Padded encoder rows (sentences times the longest length, ROOT included) of
 # one prediction forward: `predict` cuts its length-sorted input into chunks of
-# at most this many. Measured on a 2-core host over the benchmark's held-out
-# sets, as predict time per token and the tracemalloc peak of one pass:
+# at most this many. Measured in float64 on a 2-core host over the benchmark's
+# held-out sets, as predict time per token and the tracemalloc peak of one pass:
 # - hidden 400 (paper-dims: 114 sentences of 3-11 tokens, 2 BLAS threads):
 #   1033 us at 64 rows, 673 us at 512, 612 us at 1024, and 499-534 us once
 #   all 1368 padded rows are one chunk, against 650-868 us for one forward
@@ -64,7 +69,12 @@ __all__ = ["Model", "BatchOutputs", "PREDICT_ROWS"]
 #   peak is 18 MB at 2048.
 # 2048 keeps either set in one or two chunks, and bounds the passing memory
 # of a chunk at the paper's sizes near 100 MB, under half of what the
-# parameters and their Adam moments hold.
+# parameters and their Adam moments hold. Prediction now computes in float32,
+# which halves the memory per row. Re-measured at hidden 400 only (hidden 64
+# was not): 229-234 us per token at 512 rows, 223-228 at 1024 and 196-201 in
+# one chunk of 1368 rows, against 399-401, 351-356 and 324-362 in float64 in
+# the same runs; the peak grows by about 23 KB per row, 56 MB at 512 rows and
+# 75 MB at 1368, of which 39 MB is the per-call float32 copy of the parameters.
 PREDICT_ROWS = 2048
 
 
@@ -163,7 +173,7 @@ class Model:
         parts.append(ad.embedding_lookup(char_table, grid([char_idx[f] for f in forms])))
         mat = ad.concat(parts, axis=2)  # [B, T, d_in]
         if self.with_root:
-            root = Tensor(np.zeros((len(sentences), 1, mat.shape[2])))
+            root = Tensor(np.zeros((len(sentences), 1, mat.shape[2]), dtype=mat.value.dtype))
             mat = ad.concat([root, mat], axis=1)
         return mat
 
@@ -209,7 +219,8 @@ class Model:
             scores = arc_logit_matrix(ad.embedding_lookup(feats.arc_dep, at[:, 1:]),
                                       ad.embedding_lookup(feats.arc_head, at), self.params)
             # no token takes a padded head (Dozat & Manning 2017)
-            out.arc_scores = ad.add(scores, np.where(real, 0.0, -np.inf)[:, None, :])
+            pad = np.where(real, 0.0, -np.inf).astype(scores.value.dtype, copy=False)
+            out.arc_scores = ad.add(scores, pad[:, None, :])
             out.rel_dep, out.rel_head = feats.rel_dep, feats.rel_head
             if rng is not None or ad.is_grad_enabled():
                 head_rows = self._head_rows(sentences, starts, rng is not None, out.arc_scores)
@@ -260,16 +271,23 @@ class Model:
         """Fill predicted columns on copies of the input sentences; no tape is built.
 
         Sentences are encoded in chunks of similar length, one forward each,
-        and returned in input order.
+        and returned in input order. The forwards run in float32 on a shallow
+        copy of the model: one cast of every parameter per call, about 13 ms
+        for the paper's 9.8M parameters, paid by a one-sentence call too.
+        `self.params` stay float64 and untouched.
         """
+        # cast per call: adam_step and load write the parameters in place, so a
+        # kept cast would go stale
+        model = copy.copy(self)
+        model.params = _float32(self.params)
         results: list = [None] * len(sentences)
-        for positions in self._chunks(sentences):
+        for positions in model._chunks(sentences):
             chunk = [sentences[p] for p in positions]
-            outs = self.forward(chunk)
+            outs = model.forward(chunk)
             filled = [sent.copy() for sent in chunk]
-            self._fill_tags(filled, outs)
-            if "arcs" in self.tasks:
-                self._fill_parse(filled, outs, use_mst)
+            model._fill_tags(filled, outs)
+            if "arcs" in model.tasks:
+                model._fill_parse(filled, outs, use_mst)
             for pos, sent in zip(positions, filled):
                 results[pos] = sent
         return results
@@ -301,14 +319,17 @@ class Model:
         """Decode every sentence of a chunk, then label all decoded arcs at once."""
         lengths = outs.lengths
         decoded = []
-        for probs, n in zip(ad.softmax(outs.arc_scores, axis=-1).value, lengths.tolist()):
+        # probabilities in float64: float32 exp underflows below about -104 nats, and
+        # would hand the decoders -inf arcs that float64 keeps finite
+        scores = outs.arc_scores.value.astype(np.float64)
+        for probs, n in zip(ad.softmax(scores, axis=-1).value, lengths.tolist()):
             sm = ScoreMatrix.from_distributions(probs[:n, : n + 1])
             decoded.append(chu_liu_edmonds(sm) if use_mst else enforce_tree(sm, greedy_heads(sm)))
         # labels condition on the final decoded head of each token
         starts, token_rows = self._feature_rows(lengths)
         head_rows = np.repeat(starts, lengths) + np.concatenate([h[1:] for h in decoded])
         logits = self._label_logits(outs, token_rows, head_rows)
-        label_probs = ad.softmax(logits, axis=-1).value
+        label_probs = ad.softmax(logits.value.astype(np.float64), axis=-1).value
         names = self.vocab.inverse(self.vocab.rels)
         ends = np.cumsum(lengths).tolist()
         for filled, heads, end in zip(chunk, decoded, ends):
@@ -352,6 +373,27 @@ class Model:
         for name, param in model.params.items():
             param.value[...] = tensors[name]  # in place: the LSTM gates stay views of their stacks
         return model
+
+
+def _float32(params: dict) -> dict:
+    """Float32 casts of `params`, each array cast once: a parameter that views
+    a larger array (an LSTM gate, a row block of its stack) views the same
+    elements of that array's cast, so `lstm_layer` still reads one stack."""
+    casts: dict = {}
+    out = {}
+    for name, p in params.items():
+        value, base = p.value, p.value.base
+        if base is None:
+            out[name] = Tensor(value.astype(np.float32))
+            continue
+        if id(base) not in casts:
+            casts[id(base)] = base.astype(np.float32)
+        shrink = value.itemsize // 4  # byte offsets and strides scale with the item size
+        out[name] = Tensor(np.ndarray(
+            value.shape, np.float32, casts[id(base)],
+            offset=(value.ctypes.data - base.ctypes.data) // shrink,
+            strides=tuple(s // shrink for s in value.strides)))
+    return out
 
 
 class _NoDraw:

@@ -17,6 +17,9 @@ ROOT = "<root>"
 # deep syntactic roles of substitution sites plus co-head and adjunct labels
 BASE_RELATIONS = ["0", "1", "2", "3", "4", "CO", "adj"]
 _TAG_TABLES = {"pos": "pos", "stag": "stags"}  # the inventory attribute of each tag column
+# tables whose reserved entries the lookups read: unseen items map to UNK, and
+# padding takes id 0
+_RESERVED_IN = ("words", "chars", "pos", "stags")
 
 
 class Vocabulary:
@@ -94,7 +97,8 @@ class Vocabulary:
     @classmethod
     def from_json(cls, text: str) -> "Vocabulary":
         """The vocabulary of `to_json`; ValueError unless each table's ids are
-        exactly 0..len-1."""
+        exactly 0..len-1, and `words`, `chars`, `pos` and `stags` hold their
+        reserved entries at the ids a new Vocabulary gives them."""
         data = json.loads(text)
         v = cls()
         for name in ("words", "chars", "pos", "stags", "rels"):
@@ -103,6 +107,12 @@ class Vocabulary:
             if missing:  # a duplicate, negative or too-large id leaves one out
                 raise ValueError(f"table {name!r} lacks id {min(missing)}: its"
                                  f" {len(table)} ids must be 0..{len(table) - 1}, each once")
+            for key, i in getattr(v, name).items() if name in _RESERVED_IN else ():
+                if key not in table:
+                    raise ValueError(f"table {name!r} lacks the reserved entry {key!r}")
+                if table[key] != i:
+                    raise ValueError(f"table {name!r} holds the reserved entry {key!r}"
+                                     f" at id {table[key]}, not {i}")
             setattr(v, name, table)
         return v
 

@@ -1,6 +1,7 @@
 """Per-token, per-word, per-sentence and per-step reference paths that the
-fused, batched and chunked code in src/ is checked against, and the tape ops
-only they use."""
+fused, batched and chunked code in src/ is checked against, the float64
+prediction that the float32 `Model.predict` is checked against, and the tape
+ops only they use."""
 
 from dataclasses import dataclass, field
 
@@ -215,6 +216,23 @@ def textbook_adam_step(params: dict, grads: dict, state: TextbookAdamState) -> d
         v += (1.0 - state.beta2) * (g * g)
         value -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
     return params
+
+
+@ad.no_grad()
+def predict(model, sentences: list, use_mst: bool = False) -> list:
+    """`Model.predict` in float64: the same chunks, forwards and decoders on
+    the model's own parameters."""
+    results: list = [None] * len(sentences)
+    for positions in model._chunks(sentences):
+        chunk = [sentences[p] for p in positions]
+        outs = model.forward(chunk)
+        filled = [sent.copy() for sent in chunk]
+        model._fill_tags(filled, outs)
+        if "arcs" in model.tasks:
+            model._fill_parse(filled, outs, use_mst)
+        for pos, sent in zip(positions, filled):
+            results[pos] = sent
+    return results
 
 
 def vocab_from_corpus(sentences) -> Vocabulary:

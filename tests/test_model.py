@@ -339,6 +339,17 @@ def _edit_vocab(meta, table, edit):
      "'vocab' is malformed: ValueError.*'words' lacks id"),
     (lambda m: _edit_vocab(m, "rels", lambda t: {**t, max(t, key=t.get): len(t)}),
      "'vocab' is malformed: ValueError.*'rels' lacks id"),
+    # a reserved entry renamed, its id kept; the first unseen word would read a missing UNK
+    *[(lambda m, table=table, key=key: _edit_vocab(
+        m, table, lambda t: {("dog" + k if k == key else k): i for k, i in t.items()}),
+       f"'vocab' is malformed: ValueError.*'{table}' lacks the reserved entry '{key}'")
+      for table, key in (("words", "<pad>"), ("words", "<unk>"), ("words", "<root>"),
+                         ("chars", "<pad>"), ("chars", "<unk>"), ("pos", "<unk>"),
+                         ("stags", "<unk>"))],
+    # PAD swapped with the last character: padding would read a real character's row
+    (lambda m: _edit_vocab(m, "chars", lambda t: {**t, "<pad>": len(t) - 1,
+                                                 max(t, key=t.get): 0}),
+     "'vocab' is malformed: ValueError.*'chars' holds the reserved entry '<pad>' at id"),
     (lambda m: m["encoder"].update(char_width=4), "'encoder': EncoderConfig.char_width must be odd"),
     # a mode may not read the gold value of a column it predicts
     (lambda m: m.update(mode="joint-stag") or m["encoder"].update(use_stag_input=True),
@@ -354,6 +365,8 @@ def _edit_vocab(meta, table, edit):
 ], ids=["no-vocab", "no-mode", "no-encoder", "no-heads", "mode", "encoder-field",
         "heads-field", "str-int", "float-int", "bool-int", "int-bool", "none-float",
         "range", "not-object", "vocab", "duplicate-id", "negative-id", "gapped-id",
+        "no-word-pad", "no-word-unk", "no-word-root", "no-char-pad", "no-char-unk",
+        "no-pos-unk", "no-stag-unk", "moved-char-pad",
         "even-char-width", "joint-stag-reads-stag",
         "joint-pos-stag-reads-stag", "joint-pos-stag-reads-pos", "removed-final-concat",
         "removed-label-on-gold", "removed-uses-dep", "removed-as-int"])
