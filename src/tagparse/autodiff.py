@@ -29,8 +29,8 @@ are passed as plain numpy arrays, never as tape nodes.
 Each op computes in its operands' dtype (a dropout mask takes its
 operand's), and so must every constant a caller adds in: numpy would
 silently promote a float32 operand that meets a float64 array. Training
-and the gradient checks run in float64; float32 serves forward passes
-under `no_grad`.
+and the gradient checks run in float64, only Adam's moments are float32
+(`optim`); float32 serves forward passes under `no_grad`.
 """
 
 from __future__ import annotations

@@ -16,7 +16,8 @@ most PREDICT_ROWS padded encoder rows. Its forwards compute in float32:
 each call casts the float64 parameters once into a shallow copy of the
 model, about 13 ms for the paper's 9.8M parameters, and the decoders read
 float64 probabilities of its scores. Training, `forward` on the model
-itself and the parameters stay float64.
+itself and the parameters stay float64; Adam's moments are float32
+(`optim`).
 """
 
 from __future__ import annotations
@@ -68,8 +69,8 @@ __all__ = ["Model", "BatchOutputs", "PREDICT_ROWS"]
 #   at 64 rows, 84 us at 256, and flat at 68-78 us from 512 rows up; the
 #   peak is 18 MB at 2048.
 # 2048 keeps either set in one or two chunks, and bounds the passing memory
-# of a chunk at the paper's sizes near 100 MB, under half of what the
-# parameters and their Adam moments hold. Prediction now computes in float32,
+# of a chunk at the paper's sizes near 100 MB, less than the 149 MiB that the
+# parameters and their float32 Adam moments hold. Prediction now computes in float32,
 # which halves the memory per row. Re-measured at hidden 400 only (hidden 64
 # was not): 229-234 us per token at 512 rows, 223-228 at 1024 and 196-201 in
 # one chunk of 1368 rows, against 399-401, 351-356 and 324-362 in float64 in

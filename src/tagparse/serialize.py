@@ -14,6 +14,7 @@ Layout (all integers little-endian):
 from __future__ import annotations
 
 import json
+import math
 import struct
 
 import numpy as np
@@ -53,8 +54,8 @@ def load_tensors(path) -> tuple[dict, dict]:
 
     Raises FormatError on any malformed file: bad magic, a header length
     past the end of the file, a header that is not the documented JSON, an
-    unknown dtype, a repeated tensor name, or a payload that is truncated
-    or followed by extra bytes.
+    unknown dtype, a repeated tensor name, a shape numpy cannot hold, or a
+    payload that is truncated or followed by extra bytes.
     """
     with open(path, "rb") as f:
         blob = f.read()
@@ -79,11 +80,14 @@ def load_tensors(path) -> tuple[dict, dict]:
             raise FormatError(f"{path}: duplicate tensor name {name!r}")
         if any(d < 0 for d in shape):
             raise FormatError(f"{path}: negative dimension in shape {shape} of {name!r}")
-        nbytes = int(np.prod(shape, dtype=np.int64)) * dt.itemsize
-        chunk = blob[offset : offset + nbytes]
-        if len(chunk) != nbytes:
-            raise FormatError(f"{path}: truncated payload for {name!r}")
-        tensors[name] = np.frombuffer(chunk, dtype=dt).reshape(shape).copy()
+        nbytes = math.prod(shape) * dt.itemsize  # Python ints: an int64 product can wrap to 0
+        if nbytes > len(blob) - offset:
+            raise FormatError(f"{path}: truncated payload for {name!r}: shape {shape} needs "
+                              f"{nbytes} bytes, {len(blob) - offset} are left")
+        try:
+            tensors[name] = np.frombuffer(blob[offset : offset + nbytes], dtype=dt).reshape(shape).copy()
+        except ValueError as e:  # an empty tensor whose other dimensions exceed numpy's limits
+            raise FormatError(f"{path}: shape {shape} of {name!r}: {e}") from None
         offset += nbytes
     if offset != len(blob):
         raise FormatError(f"{path}: {len(blob) - offset} bytes after the last payload")

@@ -10,7 +10,7 @@ import numpy as np
 import tagparse.autodiff as ad
 from tagparse.autodiff import Tensor
 from tagparse.encoder import ALL_MODES, PARSER_MODES
-from tagparse.optim import AdamState
+from tagparse.optim import Q_MIN, S_MIN, AdamState
 from tagparse.vocab import Vocabulary
 
 
@@ -162,7 +162,36 @@ def stepwise_bilstm_stack(inputs: Tensor, params: dict, config, masks: dict | No
 
 
 def adam_step(params: dict, grads: dict, state: AdamState) -> dict:
-    """`optim.adam_step` as whole-tensor expressions, with their temporaries."""
+    """`optim.adam_step` as whole-tensor expressions, with their temporaries:
+    float32 moments and step, guards included, on float64 parameters."""
+    state.t += 1
+    root_bc2 = np.sqrt((1.0 - state.beta2**state.t) / (1.0 - state.beta2))
+    step = np.float32(state.lr * (1.0 - state.beta1) / (1.0 - state.beta1**state.t) * root_bc2)
+    eps_q = np.float32(state.eps * root_bc2)
+    b1, b2 = np.float32(state.beta1), np.float32(state.beta2)
+    for name, p in params.items():
+        g = grads.get(name)
+        if g is None:
+            continue
+        value = p.value if isinstance(p, Tensor) else p
+        if g.shape != value.shape:
+            raise ad.ShapeError(f"adam_step: param {name} shape {value.shape} vs grad {g.shape}")
+        if name not in state.s:
+            state.s[name] = np.zeros(value.shape, np.float32)
+            state.q[name] = np.zeros(value.shape, np.float32)
+        s, q = state.s[name], state.q[name]
+        g32 = g.astype(np.float32)
+        q[...] = np.maximum(q * b2 + g32 * g32, Q_MIN)
+        s *= b1
+        s += g32
+        s *= np.abs(s) >= S_MIN
+        value -= step * (s / (np.sqrt(q) + eps_q))
+    return params
+
+
+def float64_adam_step(params: dict, grads: dict, state: AdamState) -> dict:
+    """The sums form with float64 moments and no guards: `optim.adam_step`
+    before its moments became float32."""
     state.t += 1
     b1, b2 = state.beta1, state.beta2
     root_bc2 = np.sqrt((1.0 - b2**state.t) / (1.0 - b2))
@@ -173,8 +202,6 @@ def adam_step(params: dict, grads: dict, state: AdamState) -> dict:
         if g is None:
             continue
         value = p.value if isinstance(p, Tensor) else p
-        if g.shape != value.shape:
-            raise ad.ShapeError(f"adam_step: param {name} shape {value.shape} vs grad {g.shape}")
         if name not in state.s:
             state.s[name] = np.zeros_like(value)
             state.q[name] = np.zeros_like(value)

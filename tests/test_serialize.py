@@ -70,8 +70,14 @@ def _container(header: bytes, hlen: int | None = None, payload: bytes = b"") -> 
                payload=b"\x00" * 16),
     _container(json.dumps({"tensors": [{"name": "a", "shape": [1], "dtype": "f8"}]}).encode(),
                payload=b"\x00" * 12),
+] + [
+    # shapes whose element count wraps an int64 product to 0, overflows int64,
+    # or is 0 with a dimension numpy cannot allocate
+    _container(json.dumps({"tensors": [{"name": "a", "shape": shape, "dtype": "f8"}]}).encode(),
+               payload=b"\x00" * 8)
+    for shape in ([2**40, 2**40], [2**32, 2**32], [2**70], [0, 2**70])
 ], ids=["no-tensors-key", "unknown-dtype", "magic-only", "header-past-end", "duplicate-name",
-        "trailing-bytes"])
+        "trailing-bytes", "shape-2^40x2^40", "shape-2^32x2^32", "shape-2^70", "shape-0x2^70"])
 def test_malformed_container_raises_format_error(tmp_path, blob):
     path = tmp_path / "bad.tpt"
     path.write_bytes(blob)

@@ -8,6 +8,7 @@ import weakref
 import numpy as np
 import pytest
 
+import reference
 from helpers import tape_nodes
 
 import tagparse.training as training
@@ -205,6 +206,31 @@ class TestEarlyStopping:
         for key in r1.model.params:
             np.testing.assert_array_equal(r1.model.params[key].value,
                                           r2.model.params[key].value)
+
+    def test_float32_moments_follow_float64_moments(self, corpus, monkeypatch):
+        # float32 Adam moments shift the path by rounding alone: over 35 steps the
+        # per-step losses stayed within 4.9e-8 relative of float64 moments (4.9e-6
+        # over 140 steps, as the gaps compound); the bound is 1e-6
+        def losses(step):
+            seen = []
+            real = training._train_step
+
+            def recording(*args):
+                loss, norm = real(*args)
+                seen.append(loss)
+                return loss, norm
+
+            with monkeypatch.context() as m:
+                m.setattr(training, "_train_step", recording)
+                m.setattr(training, "adam_step", step)
+                cfg = TrainConfig(mode="joint-pos-stag", batch_size=4, lr=0.01, patience=5,
+                                  max_epochs=5, seed=3)
+                train(corpus, corpus, cfg, tiny_enc(), tiny_heads())
+            return np.array(seen)
+
+        got, want = losses(adam_step), losses(reference.float64_adam_step)
+        assert len(got) == 35
+        np.testing.assert_allclose(got, want, rtol=1e-6, atol=0)
 
     def test_empty_corpus_rejected(self, corpus):
         cfg = TrainConfig(mode="parser")
