@@ -59,7 +59,6 @@ __all__ = [
     "embedding_lookup",
     "conv1d",
     "dropout_with_mask",
-    "softmax",
     "cross_entropy_with_logits",
     "reduce_sum",
     "backward",
@@ -375,21 +374,8 @@ def dropout_with_mask(x: Tensor, mask) -> Tensor:
     return Tensor(out, parents=(x,), op="dropout", backward=bwd)
 
 
-def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    a = as_tensor(a)
-    shifted = a.value - np.max(a.value, axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out = e / np.sum(e, axis=axis, keepdims=True)
-
-    def bwd(g):
-        dot = np.sum(g * out, axis=axis, keepdims=True)
-        return (out * (g - dot),)
-
-    return Tensor(out, parents=(a,), op="softmax", backward=bwd)
-
-
 def cross_entropy_with_logits(logits: Tensor, targets) -> Tensor:
-    """Row-wise -log softmax(logits)[target]; logits [N, C], targets [N] ints."""
+    """Row-wise logsumexp(logits) - logits[target]; logits [N, C], targets [N] ints."""
     logits = as_tensor(logits)
     targets = np.asarray(targets, dtype=np.int64)
     if logits.value.ndim != 2 or targets.ndim != 1 or logits.shape[0] != targets.shape[0]:

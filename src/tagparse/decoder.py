@@ -1,4 +1,4 @@
-"""Turn per-token head distributions into a single-rooted acyclic tree.
+"""Turn per-token head scores into a single-rooted acyclic tree.
 
 The default decoder takes the row-wise greedy head and, when the result is
 not already an arborescence, applies two deterministic repairs:
@@ -63,14 +63,8 @@ class ScoreMatrix:
             i, j = np.argwhere(bad)[0]
             name = "NaN" if np.isnan(arr[i, j]) else "+inf"
             raise ValueError(f"ScoreMatrix: {name} score for dependent {i + 1}, head {j}")
-        for i in range(arr.shape[0]):
-            arr[i, i + 1] = NEG_INF
+        np.fill_diagonal(arr[:, 1:], NEG_INF)
         self.log_probs = arr
-
-    @classmethod
-    def from_distributions(cls, dists) -> "ScoreMatrix":
-        with np.errstate(divide="ignore"):
-            return cls(np.log(np.asarray(dists, dtype=np.float64)))
 
     @property
     def n(self) -> int:
@@ -173,14 +167,15 @@ def enforce_tree(sm: ScoreMatrix, heads: np.ndarray) -> np.ndarray:
     return heads
 
 
-def assign_labels(heads: np.ndarray, label_dists: np.ndarray) -> np.ndarray:
-    """Argmax relation id per token; ties break toward the smallest id."""
+def assign_labels(heads: np.ndarray, label_scores: np.ndarray) -> np.ndarray:
+    """Argmax relation id per token of its scores (logits or log-probabilities);
+    ties break toward the smallest id."""
     n = len(heads) - 1
-    dists = np.asarray(label_dists)
-    if dists.shape[0] != n:
-        raise ValueError(f"assign_labels: {n} tokens vs {dists.shape[0]} label rows")
+    scores = np.asarray(label_scores)
+    if scores.shape[0] != n:
+        raise ValueError(f"assign_labels: {n} tokens vs {scores.shape[0]} label rows")
     labels = np.full(n + 1, -1, dtype=np.int64)
-    labels[1:] = np.argmax(dists, axis=1)
+    labels[1:] = np.argmax(scores, axis=1)
     return labels
 
 

@@ -1,17 +1,19 @@
 """Scoring heads over encoder output: arcs, relation labels, POS and supertags.
 
-Arc scores for dependent i over candidate heads (ROOT at row 0):
+Arc logits for dependent i over candidate heads (ROOT at row 0):
 
-    s_i = softmax(H_arc_head @ W_arc @ h_i_arc_dep + H_arc_head @ b_arc)
+    s_i = H_arc_head @ W_arc @ h_i_arc_dep + H_arc_head @ b_arc
 
 computed for a whole bucket of B sentences of T tokens at once as one
 [B, T, T+1] tensor (Dozat & Manning's batched biaffine): row i-1 of
 sentence b holds dependent i's scores, column 0 is ROOT.
 
-Relation scores for the arc from predicted head p to dependent i:
+Relation logits for the arc from head p to dependent i:
 
-    l_i = softmax(h_p_rel_head^T U h_i_rel_dep
-                  + W_rel (h_i_rel_head + h_p_rel_head) + b_rel)
+    l_i = h_p_rel_head^T U h_i_rel_dep + W_rel (h_i_rel_head + h_p_rel_head) + b_rel
+
+Every head returns logits: the loss normalizes them per row, and so does
+prediction for arcs, while labels and tags take the argmax of the logits.
 
 A mode has the heads of the tasks that `encoder.MODE_TASKS` lists for it:
 the arc and label scorers for "arcs", and an MLP and output layer for each

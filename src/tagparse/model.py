@@ -14,10 +14,10 @@ equal-length batch takes the same path: its feature rows are the whole
 `predict` sorts its input by length and runs one forward per chunk of at
 most PREDICT_ROWS padded encoder rows. Its forwards compute in float32:
 each call casts the float64 parameters once into a shallow copy of the
-model, about 13 ms for the paper's 9.8M parameters, and the decoders read
-float64 probabilities of its scores. Training, `forward` on the model
-itself and the parameters stay float64; Adam's moments are float32
-(`optim`).
+model, about 13 ms for the paper's 9.8M parameters. The decoders read
+float64 log-probabilities of its arc scores, and labels and tags are the
+argmax of their logits. Training, `forward` on the model itself and the
+parameters stay float64; Adam's moments are float32 (`optim`).
 """
 
 from __future__ import annotations
@@ -87,8 +87,8 @@ class BatchOutputs:
     # [B, T, T+1], T the longest sentence: [b, i-1, j] scores head j of token i;
     # -inf past a sentence's ROOT and tokens, and rows past its end mean nothing
     arc_scores: Tensor | None = None
-    # [N, r], a row per real token, sentence-major; None from a forward under
-    # no_grad without rng
+    # [N, r], a row per real token under its gold head, sentence-major; None
+    # from a forward under no_grad without rng
     label_logits: Tensor | None = None
     pos_logits: Tensor | None = None    # [N, n_pos]
     stag_logits: Tensor | None = None   # [N, n_stags]
@@ -185,9 +185,9 @@ class Model:
         training dropout.
 
         Outputs follow the order of `sentences`. Labels are scored on the
-        gold heads with `rng` and on the argmax heads without it. Under
-        `ad.no_grad` without `rng` they are not scored: a prediction labels
-        its decoded heads instead.
+        gold heads, with `rng` or with a tape. Under `ad.no_grad` without
+        `rng` they are not scored: a prediction labels its decoded heads
+        instead.
         """
         if not sentences:
             raise ValueError("forward: no sentences")
@@ -224,8 +224,8 @@ class Model:
             out.arc_scores = ad.add(scores, pad[:, None, :])
             out.rel_dep, out.rel_head = feats.rel_dep, feats.rel_head
             if rng is not None or ad.is_grad_enabled():
-                head_rows = self._head_rows(sentences, starts, rng is not None, out.arc_scores)
-                out.label_logits = self._label_logits(out, token_rows, head_rows)
+                gold = np.array([t.head for s in sentences for t in s.tokens], dtype=np.int64)
+                out.label_logits = self._label_logits(out, gold)
         for tag, logits in zip(TAGS, (pos_logits, stag_logits)):
             if tag in self.tasks:
                 tag_rows = ad.embedding_lookup(getattr(feats, tag), token_rows)
@@ -243,27 +243,18 @@ class Model:
                                                                  lengths)
         return starts, token_rows
 
-    def _label_logits(self, outs: BatchOutputs, dep_rows, head_rows) -> Tensor:
-        """Relation scores for the arcs head_rows[k] -> dep_rows[k]."""
+    def _label_logits(self, outs: BatchOutputs, heads: np.ndarray) -> Tensor:
+        """Relation scores of every real token, sentence-major, under its head
+        heads[k] (a token index of its sentence, 0 = ROOT)."""
+        lengths = outs.lengths
+        starts, token_rows = self._feature_rows(lengths)
+        head_rows = np.repeat(starts, lengths) + heads
         return label_logits_pairs(
-            ad.embedding_lookup(outs.rel_dep, dep_rows),
-            ad.embedding_lookup(outs.rel_head, dep_rows),
+            ad.embedding_lookup(outs.rel_dep, token_rows),
+            ad.embedding_lookup(outs.rel_head, token_rows),
             ad.embedding_lookup(outs.rel_head, head_rows),
             self.params,
         )
-
-    def _head_rows(self, sentences, starts, training, arc_scores) -> np.ndarray:
-        """Feature row of each real token's head for label scoring.
-
-        Training conditions on the gold heads, a forward without dropout on
-        the current arc argmax.
-        """
-        lengths = np.array([len(s) for s in sentences])
-        if training:
-            heads = np.array([t.head for s in sentences for t in s.tokens], dtype=np.int64)
-            return np.repeat(starts, lengths) + heads
-        real = np.arange(arc_scores.shape[1]) < lengths[:, None]
-        return (starts[:, None] + np.argmax(arc_scores.value, axis=2))[real]
 
     # ----- prediction -----------------------------------------------------
 
@@ -320,21 +311,20 @@ class Model:
         """Decode every sentence of a chunk, then label all decoded arcs at once."""
         lengths = outs.lengths
         decoded = []
-        # probabilities in float64: float32 exp underflows below about -104 nats, and
-        # would hand the decoders -inf arcs that float64 keeps finite
+        # float64 log-probabilities per row: shift by the row max, subtract the
+        # log-sum-exp; padded head columns stay -inf
         scores = outs.arc_scores.value.astype(np.float64)
-        for probs, n in zip(ad.softmax(scores, axis=-1).value, lengths.tolist()):
-            sm = ScoreMatrix.from_distributions(probs[:n, : n + 1])
+        scores -= scores.max(axis=-1, keepdims=True)
+        scores -= np.log(np.exp(scores).sum(axis=-1, keepdims=True))
+        for logp, n in zip(scores, lengths.tolist()):
+            sm = ScoreMatrix(logp[:n, : n + 1])
             decoded.append(chu_liu_edmonds(sm) if use_mst else enforce_tree(sm, greedy_heads(sm)))
         # labels condition on the final decoded head of each token
-        starts, token_rows = self._feature_rows(lengths)
-        head_rows = np.repeat(starts, lengths) + np.concatenate([h[1:] for h in decoded])
-        logits = self._label_logits(outs, token_rows, head_rows)
-        label_probs = ad.softmax(logits.value.astype(np.float64), axis=-1).value
+        logits = self._label_logits(outs, np.concatenate([h[1:] for h in decoded])).value
         names = self.vocab.inverse(self.vocab.rels)
         ends = np.cumsum(lengths).tolist()
         for filled, heads, end in zip(chunk, decoded, ends):
-            labels = assign_labels(heads, label_probs[end - len(filled) : end])
+            labels = assign_labels(heads, logits[end - len(filled) : end])
             for i, tok in enumerate(filled.tokens, start=1):
                 tok.head = int(heads[i])
                 tok.rel = names[int(labels[i])]

@@ -38,8 +38,10 @@ eps_q >= eps by a factor of 1e10 at eps 1e-8.
 Overflow. A gradient whose float32 cast or square overflows, or that would
 carry q past float32's range, raises FloatingPointError naming the
 parameter before that chunk's moments are written; earlier chunks and
-parameters keep this step's update. A float64 gradient norm cannot catch
-this: |g| > 1.8e19 squares past float32 with a finite float64 norm.
+parameters keep this step's update. `train` rules this out before the
+step: it refuses a gradient whose global norm squared reaches
+fmax (1-b2) / 2, fmax float32's largest value, since below that every g^2
+and every q = sum of b2^k g^2 stays under fmax / 2.
 """
 
 from __future__ import annotations
@@ -90,8 +92,13 @@ def adam_step(params: dict, grads: dict, state: AdamState) -> dict:
 
     Each tensor is updated in chunks of CHUNK values through chunk-sized
     float32 scratch buffers, so a step allocates no full-size temporary.
-    Raises FloatingPointError when a gradient overflows float32 moments.
+    A gradient of the wrong shape raises ShapeError before anything changes;
+    one that overflows the float32 moments raises FloatingPointError.
     """
+    for name, p in params.items():
+        value, grad = (p.value if isinstance(p, Tensor) else p), grads.get(name)
+        if grad is not None and grad.shape != value.shape:
+            raise ShapeError(f"adam_step: param {name} shape {value.shape} vs grad {grad.shape}")
     state.t += 1
     root_bc2 = math.sqrt((1.0 - state.beta2**state.t) / (1.0 - state.beta2))
     step = np.float32(state.lr * (1.0 - state.beta1) / (1.0 - state.beta1**state.t) * root_bc2)
@@ -103,8 +110,6 @@ def adam_step(params: dict, grads: dict, state: AdamState) -> dict:
         if grad is None:
             continue
         value = p.value if isinstance(p, Tensor) else p
-        if grad.shape != value.shape:
-            raise ShapeError(f"adam_step: param {name} shape {value.shape} vs grad {grad.shape}")
         if name not in state.s:
             state.s[name] = np.zeros(value.shape, np.float32)
             state.q[name] = np.zeros(value.shape, np.float32)

@@ -212,9 +212,10 @@ def _train_step(model: Model, batch: list, rng, state: AdamState, epoch: int) ->
     """One Adam step on one batch; returns the batch's summed loss and the
     global norm of its gradients.
 
-    A non-finite loss or gradient norm raises FloatingPointError before
-    `adam_step` changes anything. The step's tape, loss and gradients die
-    on return, before the next step's forward.
+    A non-finite loss or gradient norm, or a norm large enough to carry
+    Adam's float32 moments past their range, raises FloatingPointError
+    before `adam_step` changes anything. The step's tape, loss and
+    gradients die on return, before the next step's forward.
     """
     loss = joint_loss(model.forward(batch, rng), batch, model.vocab, model.mode)
     where = f"in epoch {epoch} on a batch of {len(batch)} sentences of length {len(batch[0])}"
@@ -226,6 +227,10 @@ def _train_step(model: Model, batch: list, rng, state: AdamState, epoch: int) ->
         bad = next((name for name, g in grads.items() if not np.isfinite(g).all()), None)
         cause = f"the gradient of {bad} is not finite" if bad else "it overflows"
         raise FloatingPointError(f"train: gradient norm {norm} {where}: {cause}")
+    # below this every g^2 < fmax (1-b2) / 2, so q = sum of b2^k g^2 stays under fmax / 2
+    if norm * norm >= float(np.finfo(np.float32).max) * (1.0 - state.beta2) / 2.0:
+        raise FloatingPointError(f"train: gradient norm {norm:.3g} {where}:"
+                                 " it would overflow Adam's float32 moments")
     adam_step(model.params, grads, state)
     ad.zero_grads(model.params)
     return float(loss.value), norm
@@ -235,7 +240,6 @@ def _train_step(model: Model, batch: list, rng, state: AdamState, epoch: int) ->
 class FoldProvenance:
     sentence_index: int
     fold: int
-    predicted_by_fold: int
     trained_on: tuple
 
 
@@ -280,7 +284,7 @@ def jackknife(corpus: list, config: TrainConfig, enc_config: EncoderConfig,
             for tok, p in zip(out[idx].tokens, sent.tokens):
                 for column in columns:
                     setattr(tok, column, getattr(p, column))
-            provenance.append(FoldProvenance(idx, f, f, trained_on))
+            provenance.append(FoldProvenance(idx, f, trained_on))
     return out, provenance
 
 

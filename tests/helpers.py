@@ -1,5 +1,5 @@
-"""Shared test utilities: independent finite-difference oracle, error norms and
-tape size."""
+"""Shared test utilities: independent finite-difference oracle, error norms,
+tape size, and the numpy softmax the tests normalize scores with."""
 
 import numpy as np
 
@@ -39,3 +39,15 @@ def tape_nodes(root):
                 seen.add(id(parent))
                 stack.append(parent)
     return len(seen)
+
+
+def log_softmax(x, axis=-1):
+    """Log-softmax in float64 along `axis`: shift by the max, subtract the log-sum-exp."""
+    z = np.asarray(x, dtype=np.float64)
+    z = z - z.max(axis=axis, keepdims=True)
+    return z - np.log(np.exp(z).sum(axis=axis, keepdims=True))
+
+
+def softmax(x, axis=-1):
+    """Softmax in float64 along `axis`."""
+    return np.exp(log_softmax(x, axis))

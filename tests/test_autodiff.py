@@ -25,10 +25,6 @@ class TestForwardValues:
         out = ad.matmul(Tensor(np.eye(3)), Tensor(a))
         np.testing.assert_array_equal(out.value, a)
 
-    def test_softmax_symmetry(self):
-        out = ad.softmax(Tensor([0.0, 0.0, 0.0]))
-        np.testing.assert_allclose(out.value, [1 / 3] * 3, atol=1e-15)
-
     def test_matmul_vs_triple_loop(self):
         rng = np.random.default_rng(0)
         a, b = rng.normal(size=(7, 5)), rng.normal(size=(5, 4))
@@ -40,20 +36,23 @@ class TestForwardValues:
         got = ad.matmul(Tensor(a), Tensor(b)).value
         np.testing.assert_allclose(got, want, atol=1e-12, rtol=0)
 
-    def test_softmax_rows_sum_to_one(self):
+    def test_cross_entropy_probabilities_sum_to_one(self):
+        # exp(-loss) over every target of a row is the row's softmax
         rng = np.random.default_rng(1)
         x = rng.normal(size=(8, 11)) * 10
-        s = ad.softmax(Tensor(x), axis=-1).value
-        np.testing.assert_allclose(s.sum(axis=-1), 1.0, atol=1e-9)
+        probs = np.stack([np.exp(-ad.cross_entropy_with_logits(Tensor(x), np.full(8, c)).value)
+                          for c in range(11)], axis=1)
+        np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-9)
 
-    def test_softmax_shift_invariance(self):
+    def test_cross_entropy_shift_invariance(self):
         rng = np.random.default_rng(2)
         for _ in range(10):
-            v = rng.normal(size=9) * 5
+            v = rng.normal(size=(1, 9)) * 5
             c = rng.normal() * 100
-            s0 = ad.softmax(Tensor(v)).value
-            s1 = ad.softmax(Tensor(v + c)).value
-            np.testing.assert_allclose(s0, s1, atol=1e-9)
+            targets = np.array([int(rng.integers(0, 9))])
+            l0 = ad.cross_entropy_with_logits(Tensor(v), targets).value
+            l1 = ad.cross_entropy_with_logits(Tensor(v + c), targets).value
+            np.testing.assert_allclose(l0, l1, atol=1e-9)
 
     def test_sigmoid_stable_at_extremes(self):
         out = sigmoid(Tensor([-1e4, -50.0, 0.0, 50.0, 1e4])).value
@@ -378,7 +377,6 @@ def op_cases(rng):
         ("conv1d-batched-x", lambda x: ad.conv1d(x, Tensor(conv_f)), n(size=(2, 7, 5))),
         ("conv1d-batched-f", lambda x: ad.conv1d(Tensor(conv_xb), x), n(size=(3, 5, 6))),
         ("dropout", lambda x: ad.dropout_with_mask(x, mask), n(size=(3, 4))),
-        ("softmax", lambda x: ad.softmax(x, axis=-1), n(size=(3, 4))),
         ("cross-entropy", lambda x: ad.cross_entropy_with_logits(x, targets), n(size=(5, 4))),
         ("sum", lambda x: ad.reduce_sum(x, axis=0), n(size=(3, 4))),
     ]

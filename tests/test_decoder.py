@@ -16,6 +16,12 @@ from tagparse.decoder import (
 )
 
 
+def from_probs(probs):
+    """The score matrix of head probabilities: their logs, zeros at -inf."""
+    with np.errstate(divide="ignore"):
+        return ScoreMatrix(np.log(np.asarray(probs, dtype=np.float64)))
+
+
 def independent_valid(heads):
     """Validator written separately from the package one: BFS over children."""
     n = len(heads) - 1
@@ -131,7 +137,7 @@ class TestGreedy:
         assert heads[1] == 0
 
     def test_unique_maxima_exact_argmax(self):
-        sm = ScoreMatrix.from_distributions(np.array([
+        sm = from_probs(np.array([
             [0.1, 0.0, 0.7, 0.2],
             [0.6, 0.2, 0.0, 0.2],
             [0.2, 0.3, 0.5, 0.0],
@@ -153,7 +159,7 @@ class TestGreedy:
 
 class TestEnforceTree:
     def test_valid_input_unchanged(self):
-        sm = ScoreMatrix.from_distributions(np.array([
+        sm = from_probs(np.array([
             [0.8, 0.0, 0.1, 0.1],
             [0.1, 0.8, 0.0, 0.1],
             [0.1, 0.1, 0.8, 0.0],
@@ -179,7 +185,7 @@ class TestEnforceTree:
         assert tuple(fixed[1:]) in all_trees
 
     def test_multiple_roots_keep_best(self):
-        sm = ScoreMatrix.from_distributions(np.array([
+        sm = from_probs(np.array([
             [0.6, 0.0, 0.2, 0.2],
             [0.7, 0.1, 0.0, 0.2],
             [0.1, 0.2, 0.7, 0.0],
@@ -215,7 +221,7 @@ class TestEnforceTree:
 
     def test_single_cycle_repair_picks_minimal_loss(self):
         # tokens 2,3 form a cycle; token 1 is the root child
-        sm = ScoreMatrix.from_distributions(np.array([
+        sm = from_probs(np.array([
             [0.90, 0.00, 0.05, 0.05],
             [0.01, 0.04, 0.00, 0.95],
             [0.02, 0.03, 0.95, 0.00],
@@ -366,13 +372,13 @@ class TestNonFiniteScores:
         probs = np.full((2, 3), 1 / 3)
         probs[1, 0] = np.nan
         with pytest.raises(ValueError, match="NaN"):
-            ScoreMatrix.from_distributions(probs)
+            from_probs(probs)
 
     def test_zero_probabilities_still_decode(self):
         # zero probabilities become -inf scores, which are legal
         probs = np.array([[1.0, 0.0, 0.0],
                           [0.0, 1.0, 0.0]])
-        sm = ScoreMatrix.from_distributions(probs)
+        sm = from_probs(probs)
         assert np.isneginf(sm.log_probs).sum() == 4
         for heads in (chu_liu_edmonds(sm), enforce_tree(sm, greedy_heads(sm))):
             assert list(heads) == [-1, 0, 1]
@@ -380,7 +386,7 @@ class TestNonFiniteScores:
     @DECODERS
     def test_only_root_arcs_possible_still_single_rooted(self, decode):
         # every token's only finite head is ROOT, so no finite tree has one ROOT child
-        sm = ScoreMatrix.from_distributions([[1, 0, 0], [1, 0, 0]])
+        sm = from_probs([[1, 0, 0], [1, 0, 0]])
         heads = decode(sm)
         assert independent_valid(heads)
         assert list(heads) == [-1, 0, 1]

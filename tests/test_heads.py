@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import reference
-from helpers import numeric_grad, rel_err
+from helpers import numeric_grad, rel_err, softmax
 
 import tagparse.autodiff as ad
 from tagparse.autodiff import Tensor
@@ -20,11 +20,6 @@ from tagparse.heads import (
 )
 
 
-def softmax_np(x):
-    e = np.exp(x - x.max())
-    return e / e.sum()
-
-
 def sentence_arc_scores(feats, params):
     """[T, T+1] scores of one sentence of [T+1, d] rows through the batched scorer."""
     dep, head = feats.arc_dep.value, feats.arc_head.value
@@ -33,7 +28,7 @@ def sentence_arc_scores(feats, params):
 
 def arc_probs(feats, params):
     """Row i-1: distribution of dependent i over the candidate heads."""
-    return ad.softmax(Tensor(sentence_arc_scores(feats, params)), axis=-1).value
+    return softmax(sentence_arc_scores(feats, params))
 
 
 def label_pair_logits(feats, deps, heads, params):
@@ -45,7 +40,7 @@ def label_pair_logits(feats, deps, heads, params):
 
 
 def label_probs(feats, deps, heads, params):
-    return ad.softmax(label_pair_logits(feats, deps, heads, params), axis=-1).value
+    return softmax(label_pair_logits(feats, deps, heads, params).value)
 
 
 def make_feats(rng, n_plus_1, d_arc=None, d_rel=None, d_pos=None, d_stag=None):
@@ -95,7 +90,7 @@ class TestArcScores:
         got = arc_probs(feats, params)
         for i in range(1, 6):
             scores = np.array([H[j] @ (w @ D[i]) + H[j] @ b for j in range(6)])
-            want = softmax_np(scores)
+            want = softmax(scores)
             np.testing.assert_allclose(got[i - 1], want, atol=1e-12, rtol=0)
 
     def test_permuting_candidates_permutes_distribution(self):
@@ -119,8 +114,8 @@ class TestArcScores:
         shifted = logits + 7.5  # same constant for every candidate head
         assert np.array_equal(np.argmax(logits, axis=1), np.argmax(shifted, axis=1))
         np.testing.assert_allclose(
-            np.apply_along_axis(softmax_np, 1, logits),
-            np.apply_along_axis(softmax_np, 1, shifted),
+            softmax(logits),
+            softmax(shifted),
             atol=1e-9,
         )
 
@@ -197,7 +192,7 @@ class TestLabelScores:
                     for c in range(d_rel):
                         bilinear += RH[p_i, a] * U[a, c, k] * RD[i, c]
                 scores[k] = bilinear + W[k] @ (RH[i] + RH[p_i]) + b[k]
-            want = softmax_np(scores)
+            want = softmax(scores)
             np.testing.assert_allclose(got[i - 1], want, atol=1e-12, rtol=0)
 
     def test_gradients_match_finite_differences(self):
@@ -229,11 +224,11 @@ class TestLabelScores:
 
 
 def pos_probs(feats, params):
-    return ad.softmax(pos_logits(feats.pos, params), axis=-1).value
+    return softmax(pos_logits(feats.pos, params).value)
 
 
 def stag_probs(feats, params):
-    return ad.softmax(stag_logits(feats.stag, params), axis=-1).value
+    return softmax(stag_logits(feats.stag, params).value)
 
 
 class TestTagHeads:
@@ -267,10 +262,10 @@ class TestTagHeads:
         got_pos = pos_probs(feats, params)
         got_stag = stag_probs(feats, params)
         for k in range(4):
-            want = softmax_np(params["out.pos.W"].value @ feats.pos.value[k]
+            want = softmax(params["out.pos.W"].value @ feats.pos.value[k]
                               + params["out.pos.b"].value)
             np.testing.assert_allclose(got_pos[k], want, atol=1e-12, rtol=0)
-            want = softmax_np(params["out.stag.W"].value @ feats.stag.value[k]
+            want = softmax(params["out.stag.W"].value @ feats.stag.value[k]
                               + params["out.stag.b"].value)
             np.testing.assert_allclose(got_stag[k], want, atol=1e-12, rtol=0)
 

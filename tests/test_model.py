@@ -1,5 +1,6 @@
 """Model assembly: batching consistency, decoding validity, persistence."""
 
+import itertools
 import json
 
 import numpy as np
@@ -178,7 +179,7 @@ def test_predict_labels_each_bucket_with_one_call(corpus, joint_model, monkeypat
     monkeypatch.setattr(tm, "label_logits_pairs", counting)
     joint_model.predict(corpus)
     # the corpus is one chunk, and only its decoded heads are labeled: forward
-    # under no_grad scores no argmax heads
+    # under no_grad scores no labels
     assert len(calls) == 1
     assert sum(calls) == sum(len(s) for s in corpus)
     calls.clear()
@@ -207,8 +208,7 @@ def test_predict_matches_a_recording_forward_and_the_same_decode(corpus, joint_m
 
     monkeypatch.setattr(Model, "forward", spying)
     pred = joint_model.predict(corpus, use_mst=use_mst)
-    # one forward for the whole corpus, which recorded no tape and no labels for
-    # the argmax heads
+    # one forward for the whole corpus, which recorded no tape and scored no labels
     assert len(seen) == 1 and len(seen[0].sentences) == len(corpus)
     assert seen[0].arc_scores.parents == () and seen[0].label_logits is None
     monkeypatch.undo()
@@ -253,6 +253,38 @@ def test_label_logits_of_a_forward_by_grad_mode_and_dropout(corpus, joint_model)
         assert joint_model.forward(bucket).label_logits is None
         dropped = joint_model.forward(bucket, np.random.default_rng(0))
     assert dropped.label_logits is not None and dropped.label_logits.parents == ()
+
+
+def test_labels_are_scored_on_gold_heads_with_or_without_dropout(corpus, joint_model):
+    # every dropout of the fixture is 0, so only the heads could tell the forwards apart
+    batch = corpus[:6]
+    with ad.no_grad():
+        arcs = joint_model.forward(batch, np.random.default_rng(0)).arc_scores.value
+    argmax = [h for b, s in enumerate(batch) for h in np.argmax(arcs[b, : len(s)], axis=1)]
+    assert argmax != [t.head for s in batch for t in s.tokens]
+    recorded = joint_model.forward(batch).label_logits.value
+    dropped = joint_model.forward(batch, np.random.default_rng(0)).label_logits.value
+    np.testing.assert_array_equal(recorded, dropped)
+
+
+@pytest.mark.parametrize("use_mst", [False, True], ids=["greedy", "mst"])
+def test_predict_tells_apart_arcs_far_below_their_rows_best(corpus, monkeypatch, use_mst):
+    # float64 exp underflows below about -745 nats, so only log-scores rank these arcs
+    sent = next(s for s in corpus if len(s) == 3)
+    model = Model(Vocabulary.from_corpus(corpus), "parser", tiny_enc(), tiny_heads(),
+                  np.random.default_rng(0))
+    scores = np.array([[[0, 0, -1000, -1000], [0, -900, 0, -800], [0, -850, -950, 0]]],
+                      dtype=np.float32)  # column 0 is ROOT; the self-heads are masked
+    monkeypatch.setattr(tm, "arc_logit_matrix", lambda dep, head, params: ad.Tensor(scores))
+
+    def total(heads):
+        return sum(scores[0, i, h] for i, h in enumerate(heads))
+
+    trees = [h for h in itertools.product(range(4), repeat=3)
+             if is_valid_tree(np.array([-1, *h]))]
+    assert max(trees, key=total) == (0, 3, 1)
+    (pred,) = model.predict([sent], use_mst=use_mst)
+    assert pred.heads() == [0, 3, 1]
 
 
 def test_load_draws_no_random_initialisation(tmp_path, corpus, joint_model, monkeypatch):

@@ -62,9 +62,14 @@ def test_converges_on_quadratic():
 
 
 def test_shape_mismatch_rejected():
-    p = parameter(np.zeros((2, 2)))
-    with pytest.raises(ShapeError):
-        adam_step({"p": p}, {"p": np.zeros(3)}, AdamState())
+    # the second parameter's gradient is wrong: the first must not have moved
+    first, second = parameter(np.zeros(3)), parameter(np.zeros((2, 2)))
+    state = AdamState()
+    with pytest.raises(ShapeError, match="param second"):
+        adam_step({"first": first, "second": second},
+                  {"first": np.ones(3), "second": np.zeros(3)}, state)
+    assert np.array_equal(first.value, np.zeros(3))
+    assert state.t == 0 and not state.s and not state.q
 
 
 def model_shapes():
@@ -164,7 +169,8 @@ def test_no_moment_is_subnormal_after_a_thousand_zero_gradient_steps():
 
 @pytest.mark.parametrize("big", [1e20, 1e39], ids=["square-overflows", "cast-overflows"])
 def test_overflowing_gradient_raises_before_its_moments_are_written(big):
-    # both have a finite float64 norm, so a norm check upstream lets them through
+    # both have a finite float64 norm; `train` stops them by their norm before the
+    # step, and a direct caller meets this guard
     p = parameter(np.zeros(4))
     state = AdamState()
     adam_step({"p": p}, {"p": np.ones(4)}, state)

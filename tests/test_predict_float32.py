@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import reference
+from helpers import log_softmax
 
 import tagparse.autodiff as ad
 import tagparse.model as tm
@@ -130,11 +131,6 @@ class TestAgainstTheFloat64Oracle:
         with ad.no_grad():
             got = float32_copy(trained).forward(test_set).arc_logits
             want = trained.forward(test_set).arc_logits
-
-        def log_softmax(x):
-            z = x.astype(np.float64) - x.max(axis=1, keepdims=True)
-            return z - np.log(np.exp(z).sum(axis=1, keepdims=True))
-
         for g, w in zip(got, want):
             assert g.value.dtype == np.float32 and w.value.dtype == np.float64
             lg, lw = log_softmax(g.value), log_softmax(w.value)

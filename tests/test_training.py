@@ -387,11 +387,15 @@ class TestNonFiniteLoss:
         (np.nan, "the gradient of mlp.arc_dep.W is not finite"),
         (np.inf, "the gradient of mlp.arc_dep.W is not finite"),
         (1e200, "it overflows"),
-    ], ids=["nan", "inf", "overflow"])
+        # a finite float64 norm of about 1e19, whose square Adam's float32 moments cannot sum
+        (1e18, "it would overflow Adam's float32 moments"),
+    ], ids=["nan", "inf", "overflow", "float32-moments"])
     def test_bad_gradient_stops_the_step_before_adam(self, setup, monkeypatch, bad, cause):
         vocab, _, bucket = setup
         model = Model(vocab, "joint-pos-stag", tiny_enc(), tiny_heads(),
                       np.random.default_rng(4))
+        state = AdamState()
+        training._train_step(model, bucket, None, state, 1)  # the moments exist
         real = training.ad.gradients
 
         def patched(loss, params):
@@ -400,14 +404,18 @@ class TestNonFiniteLoss:
             return grads
 
         monkeypatch.setattr(training.ad, "gradients", patched)
-        before = {k: p.value.copy() for k, p in model.params.items()}
-        state = AdamState()
-        with pytest.raises(FloatingPointError, match=rf"gradient norm (nan|inf) in epoch 2 on a"
+        before = [{k: p.value.copy() for k, p in model.params.items()},
+                  {k: v.copy() for k, v in state.s.items()},
+                  {k: v.copy() for k, v in state.q.items()}]
+        with pytest.raises(FloatingPointError, match=rf"gradient norm \S+ in epoch 2 on a"
                            rf" batch of 1 sentences of length \d+: {cause}"):
             training._train_step(model, bucket, None, state, 2)
-        assert state.t == 0 and not state.s
-        for k, p in model.params.items():
-            np.testing.assert_array_equal(p.value, before[k])
+        assert state.t == 1
+        after = [{k: p.value for k, p in model.params.items()}, state.s, state.q]
+        for got, want in zip(after, before):
+            assert got.keys() == want.keys()
+            for k in want:
+                np.testing.assert_array_equal(got[k], want[k], err_msg=k)
 
     def test_nan_parameter_stops_training(self, corpus):
         # a NaN word vector makes the loss of the first batch holding the word NaN
@@ -436,7 +444,6 @@ class TestJackknife:
             lo, hi = spans[rec.fold]
             assert lo <= rec.sentence_index < hi
             assert rec.fold not in rec.trained_on
-            assert rec.predicted_by_fold == rec.fold
             seen.add(rec.sentence_index)
         assert seen == set(range(len(corpus)))
         # predictions were filled, order and forms preserved
